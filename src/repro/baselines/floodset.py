@@ -40,7 +40,7 @@ from repro.sync.api import (
     register_batched_table,
     register_vector_table,
 )
-from repro.util.columns import HAVE_NUMPY, int64_fits, np, or_at, take, uint64_column
+from repro.util.columns import int64_fits, is_ndarray, or_at, take, uint64_column
 
 #: Fallback-path mask clamp: ``~known`` on Python ints goes negative, the
 #: ``array("Q")`` column only stores 64-bit non-negatives.
@@ -320,8 +320,8 @@ class _FloodSetVectorTable(VectorAlgorithm):
         """``fresh = total & ~known; known |= fresh; new = fresh`` columnwise."""
         known = self.known
         new = self.new
-        if HAVE_NUMPY and isinstance(known, np.ndarray):
-            t = np.uint64(total)
+        if is_ndarray(known):
+            t = known.dtype.type(total)  # a numpy uint64 scalar
             k = known[ro]
             fresh = t & ~k
             new[ro] = fresh
@@ -335,7 +335,7 @@ class _FloodSetVectorTable(VectorAlgorithm):
 
     def _clear_new(self, ro: list[int]) -> None:
         new = self.new
-        if HAVE_NUMPY and isinstance(new, np.ndarray):
+        if is_ndarray(new):
             new[ro] = 0
             return
         for pid in ro:

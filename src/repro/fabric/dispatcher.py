@@ -214,6 +214,7 @@ def _worker_main(
     worker_id: int = 0,
     incarnation: int = 0,
     heartbeat: bool = False,
+    inherited: tuple = (),
 ) -> None:
     """Long-lived shard worker: recv shard tasks until ``stop`` (or EOF).
 
@@ -223,7 +224,13 @@ def _worker_main(
     ``faults`` (already bound) injects death/hang/torn/poison at the
     documented points; ``heartbeat`` adds an ``("hb", shard_id)`` pipe
     message per flushed chunk for the parent's liveness clock.
+    ``inherited`` holds the parent-side pipe ends a forked worker copied
+    from the parent; closing them first is what lets ``recv`` see EOF
+    when the parent dies, so an orphaned worker exits instead of
+    blocking forever.
     """
+    for end in inherited:
+        end.close()
     slab = ScalarSlab.attach(shm_name, capacity)
     base = Scenario.from_dict(base_dict)
     lease = EngineLease()
@@ -270,6 +277,8 @@ def _worker_main(
                 completed, worker_id, incarnation
             ):
                 os._exit(_FAULT_EXIT)
+    except (BrokenPipeError, ConnectionResetError):
+        return  # parent died mid-send: the same exit as EOF on recv
     finally:
         slab.close()
         conn.close()
@@ -547,12 +556,17 @@ class ShardedSweep:
 
         ctx = get_context()
 
-        def spawn(child_conn, slab_name: str, index: int, incarnation: int):
+        # Only a forked child holds copies of the parent's pipe ends.
+        forked = ctx.get_start_method() == "fork"
+
+        def spawn(child_conn, parent_ends: list, slab_name: str, index: int,
+                  incarnation: int):
             proc = ctx.Process(
                 target=_worker_main,
                 args=(child_conn, slab_name, capacity, base_dict, directory,
                       self.chunk_size, faults, index, incarnation,
-                      liveness is not None),
+                      liveness is not None,
+                      tuple(parent_ends) if forked else ()),
                 daemon=True,
             )
             proc.start()

@@ -35,7 +35,7 @@ import math
 from multiprocessing import shared_memory
 
 from repro.scenarios.record import RecordBatch
-from repro.util.columns import np
+from repro.util.columns import load_numpy
 
 __all__ = ["ScalarSlab", "INT_COLUMNS", "DEPTH"]
 
@@ -76,6 +76,7 @@ class ScalarSlab:
         self._floats = []
         self._np_ints = []
         self._np_floats = []
+        np = load_numpy()
         slot_bytes = capacity * CELL_BYTES
         for slot in range(DEPTH):
             off = slot * slot_bytes

@@ -81,9 +81,13 @@ class Supervisor:
     capacity:
         Slab capacity (cells) for every worker's :class:`ScalarSlab`.
     spawn:
-        ``spawn(child_conn, slab_name, index, incarnation) -> Process``:
-        builds and **starts** the worker process.  The dispatcher owns
-        the target and its arguments; the supervisor owns the resources.
+        ``spawn(child_conn, parent_ends, slab_name, index, incarnation)
+        -> Process``: builds and **starts** the worker process.  The
+        dispatcher owns the target and its arguments; the supervisor owns
+        the resources.  ``parent_ends`` are the parent-side pipe ends open
+        at spawn time (the new worker's own among them): a forked child
+        inherits them and must close them, or its ``recv`` never sees EOF
+        once the parent dies.
     max_respawns:
         Total replacement workers allowed across the whole sweep.  Once
         exhausted, :meth:`respawn` returns ``None`` and the dispatcher
@@ -99,7 +103,7 @@ class Supervisor:
     KILL_GRACE_S = 5.0
 
     def __init__(self, *, ctx: Any, capacity: int,
-                 spawn: Callable[[Any, str, int, int], Any],
+                 spawn: Callable[[Any, list, str, int, int], Any],
                  max_respawns: int) -> None:
         self._ctx = ctx
         self._capacity = capacity
@@ -116,8 +120,11 @@ class Supervisor:
     def _make(self, index: int, incarnation: int, queue: deque) -> WorkerHandle:
         slab = ScalarSlab.create(self._capacity)
         parent_conn, child_conn = self._ctx.Pipe()
+        parent_ends = [h.conn for h in self.handles if not h.conn.closed]
+        parent_ends.append(parent_conn)
         try:
-            proc = self._spawn(child_conn, slab.name, index, incarnation)
+            proc = self._spawn(child_conn, parent_ends, slab.name, index,
+                               incarnation)
         except BaseException:
             parent_conn.close()
             child_conn.close()
@@ -128,7 +135,10 @@ class Supervisor:
 
     def start(self, n_workers: int) -> list[WorkerHandle]:
         """Spawn the initial fleet (incarnation 0, empty queues)."""
-        self.handles = [self._make(i, 0, deque()) for i in range(n_workers)]
+        self.handles = []
+        for i in range(n_workers):
+            # Appended one by one so each spawn sees its elders' pipe ends.
+            self.handles.append(self._make(i, 0, deque()))
         return self.handles
 
     def live(self) -> list[WorkerHandle]:

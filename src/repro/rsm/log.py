@@ -77,6 +77,8 @@ class ReplicatedLog:
         }
         self.slots: list[SlotResult] = []
         self._crashed_forever: set[int] = set()
+        # Commands are immutable values: every slot shares one noop per pid.
+        self._noops = [Command(origin=pid, op="noop") for pid in range(1, n + 1)]
         # One leased engine for the whole log: slot k+1 refills slot k's
         # engine (columnar est/decision rewrites, zero process
         # construction) instead of paying the n-object factory plus
@@ -110,10 +112,7 @@ class ReplicatedLog:
                 f"slot {slot_no}: {len(fresh)} new crashes exceed remaining "
                 f"budget {remaining_budget} (t={self.t})"
             )
-        proposals = [
-            commands.get(pid, Command(origin=pid, op="noop"))
-            for pid in range(1, self.n + 1)
-        ]
+        proposals = [commands.get(noop.origin, noop) for noop in self._noops]
 
         events = list(fresh)
         for pid in sorted(self._crashed_forever):

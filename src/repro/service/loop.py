@@ -29,11 +29,16 @@ One iteration of the loop:
 Degradation is a first-class outcome: once crashes exhaust the ``t``
 budget the service drains in-flight requests, refuses new ones, and
 reports ``state="degraded"`` — partial but honest, never wedged.
+
+One iteration costs O(in-flight requests), never O(history):
+:attr:`ConsensusService.requests` keeps every request ever admitted (the
+report and the exactly-once check read it), while the timeout scan, the
+propose queue and the idle branch's next-event search walk only
+:attr:`ConsensusService.inflight` — admitted, not yet acked or failed.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
@@ -159,7 +164,13 @@ class ConsensusService:
         self.propose_retry_limit = propose_retry_limit
         self.counters = ServiceCounters()
         self.latencies = LatencyRecorder()
+        #: Every request ever admitted (refused ones too), admission order.
         self.requests: dict[tuple[int, int], Request] = {}
+        #: Admitted requests not yet acked or failed, admission order.
+        self.inflight: dict[tuple[int, int], Request] = {}
+        # The propose queue, enqueue order: in-flight requests waiting
+        # for a slot (a subset of ``inflight``).
+        self._queue: dict[tuple[int, int], Request] = {}
         self.state = _RUNNING
         self.budget_exhausted = False
         self._chaos_rng = rng.spawn("chaos")
@@ -170,14 +181,20 @@ class ConsensusService:
 
     # -- settle helpers -----------------------------------------------------------
 
+    def _settle(self, req: Request) -> None:
+        del self.inflight[req.key]
+        self._queue.pop(req.key, None)
+
     def _ack(self, workload: Workload, req: Request, ack: Ack) -> None:
         req.acked_at = ack.at
+        self._settle(req)
         self.latencies.record(ack.at - req.submitted_at)
         self.counters.acked += 1
         workload.on_settle(req.session, ack.at)
 
     def _fail(self, workload: Workload, req: Request, now: float) -> None:
         req.failed = True
+        self._settle(req)
         self.counters.failed += 1
         workload.on_settle(req.session, now)
 
@@ -198,8 +215,8 @@ class ConsensusService:
             max_slots = 64 + workload.total_requests * self.policy.max_attempts * 4
 
         now = 0.0
-        pending: deque[tuple[int, int]] = deque()
-        queued: set[tuple[int, int]] = set()
+        inflight = self.inflight
+        queue = self._queue
         next_id: dict[int, int] = {}
         stall = 0
 
@@ -226,14 +243,15 @@ class ConsensusService:
                     deadline=now + self.policy.timeout,
                 )
                 self.requests[req.key] = req
+                inflight[req.key] = req
                 self.counters.submitted += 1
-                pending.append(req.key)
-                queued.add(req.key)
+                queue[req.key] = req
 
             # 2. timeout scan: dedup-ack, retry with backoff, or fail.
-            for req in self.requests.values():
-                if req.settled or now < req.deadline:
-                    continue
+            # Expired requests are collected first, then handled in
+            # admission order: handling one never moves another's deadline.
+            expired = [req for req in inflight.values() if now >= req.deadline]
+            for req in expired:
                 progressed = True
                 record = self.table.committed(req.key)
                 if record is not None:
@@ -254,11 +272,10 @@ class ConsensusService:
                     continue
                 if req.attempts >= self.policy.max_attempts:
                     self._fail(workload, req, now)
-                    queued.discard(req.key)
                     continue
                 req.attempts += 1
                 self.counters.retried += 1
-                if req.key in queued:
+                if req.key in queue:
                     # Still waiting in the propose queue: the retry just
                     # re-arms the client's deadline.
                     req.deadline = now + self.policy.timeout
@@ -266,32 +283,26 @@ class ConsensusService:
                     delay = self.policy.backoff(req.attempts)
                     req.eligible_at = now + delay
                     req.deadline = req.eligible_at + self.policy.timeout
-                    pending.append(req.key)
-                    queued.add(req.key)
+                    queue[req.key] = req
 
             # 3. pick the oldest eligible queued request.
-            choice = None
-            for idx, key in enumerate(pending):
-                if key not in queued:
-                    continue  # lazily removed
-                candidate = self.requests[key]
-                if candidate.settled:
-                    queued.discard(key)
-                    continue
+            req = None
+            for candidate in queue.values():
                 if candidate.eligible_at <= now:
-                    choice = (idx, key, candidate)
+                    req = candidate
                     break
 
-            if choice is None:
-                unsettled = [r for r in self.requests.values() if not r.settled]
-                if not unsettled and workload.exhausted():
+            if req is None:
+                if not inflight and workload.exhausted():
                     break
                 events: list[float] = []
                 arrival = workload.next_arrival()
                 if arrival is not None:
                     events.append(arrival)
-                for r in unsettled:
-                    events.append(r.eligible_at if r.key in queued else r.deadline)
+                # A queued request waits on its backoff gate, an unqueued
+                # one (proposal in flight or fenced) on its ack deadline.
+                for r in inflight.values():
+                    events.append(r.eligible_at if r.key in queue else r.deadline)
                 if not events:
                     self._problems.append(
                         "service wedged: unsettled requests with no future event"
@@ -313,7 +324,7 @@ class ConsensusService:
                 now = nxt
                 continue
             stall = 0
-            idx, key, req = choice
+            key = req.key
             prospective = len(self.log.slots) + 1
 
             # Propose-path raise faults: transient ones retry after a
@@ -329,14 +340,11 @@ class ConsensusService:
                     if attempt + 1 >= self.propose_retry_limit:
                         self._poison_bypassed.add(prospective)
                         self._fail(workload, req, now)
-                        del pending[idx]
-                        queued.discard(key)
                     else:
                         now += self.round_time
                     continue
 
-            del pending[idx]
-            queued.discard(key)
+            del queue[key]
 
             # Chaos kills for this slot, resolved against the live ring.
             crash_events: list[CrashEvent] = []

@@ -8,13 +8,21 @@ version is correct and tested).
 
 The grid is validated against the scalar implementation point-by-point in
 the test suite, so the two can never drift apart silently.
+
+numpy is imported inside the functions, not with the module: the
+package itself has no dependencies, and ``import repro`` must work (and
+stay numpy-free) where numpy is absent.  Calling either function without
+numpy raises :class:`ImportError`.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.errors import ConfigurationError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["timing_grid", "crossover_curve"]
 
@@ -33,6 +41,8 @@ def timing_grid(
     * ``extended_wins``  — boolean strict-win mask
     * ``margin``         — classic minus extended time (positive = win)
     """
+    import numpy as np
+
     if D <= 0:
         raise ConfigurationError("D must be > 0")
     d_frac = np.asarray(d_fractions, dtype=np.float64)
@@ -59,6 +69,8 @@ def timing_grid(
 
 def crossover_curve(D: float, f_values: np.ndarray | list[int]) -> np.ndarray:
     """The break-even ``d/D`` per ``f``: ``1 / (f + 1)`` (vectorized)."""
+    import numpy as np
+
     if D <= 0:
         raise ConfigurationError("D must be > 0")
     f = np.asarray(f_values, dtype=np.float64)

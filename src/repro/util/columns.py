@@ -19,6 +19,12 @@ are pinned byte-identical to the object paths:
   same values; ``REPRO_NO_NUMPY=1`` forces the fallback so CI can pin
   the whole suite on it.
 
+numpy is imported on first need, not with this module: the first vector
+column built (or the first :func:`load_numpy` call) imports it.  Code
+that never builds an array column — the service, the asynchronous
+engines, the serial sweep — never pays numpy's import time or memory.  Until numpy is loaded no column can
+be a numpy array, so the accessors' type dispatch needs no import.
+
 Eligibility: the vectorized tables only engage when every value fits a
 plain int64 (:func:`all_int64`); anything else — ``SizedValue``, strings,
 service commands — falls back to the list-batched tables unchanged.
@@ -27,12 +33,13 @@ service commands — falls back to the list-batched tables unchanged.
 from __future__ import annotations
 
 import os
+import sys
 from array import array
 from typing import Any, Iterable, Sequence
 
 __all__ = [
-    "HAVE_NUMPY",
-    "np",
+    "load_numpy",
+    "is_ndarray",
     "int64_fits",
     "all_int64",
     "int_column",
@@ -48,15 +55,41 @@ __all__ = [
     "or_at",
 ]
 
-if os.environ.get("REPRO_NO_NUMPY"):
-    np = None  # forced fallback (the no-numpy CI job pins this path)
-else:
-    try:
-        import numpy as np  # type: ignore[no-redef]
-    except ImportError:  # pragma: no cover - exercised via REPRO_NO_NUMPY
-        np = None
+_UNRESOLVED = object()
+_numpy: Any = _UNRESOLVED
 
-HAVE_NUMPY = np is not None
+#: ``numpy.ndarray`` once numpy loads; until then an empty tuple, which
+#: no ``isinstance`` check matches.
+_ndarray: Any = ()
+
+
+def load_numpy():
+    """The numpy module, imported on first call; None when unavailable.
+
+    ``REPRO_NO_NUMPY=1`` pins the ``array`` fallback (the no-numpy CI
+    job runs the whole suite this way).
+    """
+    global _numpy, _ndarray
+    if _numpy is _UNRESOLVED:
+        module = None
+        if not os.environ.get("REPRO_NO_NUMPY"):
+            try:
+                import numpy as module
+            except ImportError:
+                module = None
+        _numpy = module
+        if module is not None:
+            _ndarray = module.ndarray
+    return _numpy
+
+
+if "numpy" in sys.modules:
+    load_numpy()  # already paid for: resolve now so foreign arrays dispatch
+
+
+def is_ndarray(column: Any) -> bool:
+    """Whether ``column`` is a numpy array (never imports numpy)."""
+    return isinstance(column, _ndarray)
 
 _INT64_MIN = -(1 << 63)
 _INT64_MAX = (1 << 63) - 1
@@ -85,6 +118,7 @@ def int_column(values: Sequence[int], *, offset: int = 0):
     Synchronous tables are pid-indexed with slot 0 unused — they pass
     ``offset=1``.
     """
+    np = load_numpy()
     if np is not None:
         col = np.zeros(len(values) + offset, dtype=np.int64)
         col[offset:] = values
@@ -94,6 +128,7 @@ def int_column(values: Sequence[int], *, offset: int = 0):
 
 def bool_column(values: Sequence[bool], *, offset: int = 0):
     """A bool column (``b`` int8 0/1 in the fallback)."""
+    np = load_numpy()
     if np is not None:
         col = np.zeros(len(values) + offset, dtype=np.bool_)
         col[offset:] = values
@@ -103,6 +138,7 @@ def bool_column(values: Sequence[bool], *, offset: int = 0):
 
 def uint64_column(values: Sequence[int], *, offset: int = 0):
     """A uint64 column (bitmask state, e.g. FloodSet value sets)."""
+    np = load_numpy()
     if np is not None:
         col = np.zeros(len(values) + offset, dtype=np.uint64)
         col[offset:] = values
@@ -112,9 +148,7 @@ def uint64_column(values: Sequence[int], *, offset: int = 0):
 
 def is_array_column(column: Any) -> bool:
     """Whether ``column`` is an array-backed column (numpy or ``array``)."""
-    if isinstance(column, array):
-        return True
-    return np is not None and isinstance(column, np.ndarray)
+    return isinstance(column, (array, _ndarray))
 
 
 # -- whole-column writes (the refill path) ----------------------------------
@@ -139,7 +173,7 @@ def fill_slice(column: Any, value: Any, *, offset: int = 0) -> None:
     """``column[offset:] = [value] * k`` for list, numpy, and ``array``."""
     if isinstance(column, array):
         column[offset:] = array(column.typecode, [value]) * (len(column) - offset)
-    elif np is not None and isinstance(column, np.ndarray):
+    elif isinstance(column, _ndarray):
         column[offset:] = value
     else:
         column[offset:] = [value] * (len(column) - offset)
@@ -150,14 +184,14 @@ def fill_slice(column: Any, value: Any, *, offset: int = 0) -> None:
 
 def take(column: Any, indices: Sequence[int]) -> list:
     """Gather ``column[i] for i in indices`` as Python scalars."""
-    if np is not None and isinstance(column, np.ndarray):
+    if isinstance(column, _ndarray):
         return column[indices].tolist()
     return [column[i] for i in indices]
 
 
 def put(column: Any, indices: Sequence[int], value: Any) -> None:
     """Scatter one ``value`` into every slot named by ``indices``."""
-    if np is not None and isinstance(column, np.ndarray):
+    if isinstance(column, _ndarray):
         if indices:
             column[indices] = value
         return
@@ -167,24 +201,24 @@ def put(column: Any, indices: Sequence[int], value: Any) -> None:
 
 def min_at(column: Any, indices: Sequence[int]) -> int:
     """``min(column[i] for i in indices)`` as a Python int."""
-    if np is not None and isinstance(column, np.ndarray):
+    if isinstance(column, _ndarray):
         return int(column[indices].min())
     return min(column[i] for i in indices)
 
 
 def any_at(column: Any, indices: Sequence[int]) -> bool:
     """``any(column[i] for i in indices)`` as a Python bool."""
-    if np is not None and isinstance(column, np.ndarray):
+    if isinstance(column, _ndarray):
         return bool(column[indices].any())
     return any(column[i] for i in indices)
 
 
 def or_at(column: Any, indices: Sequence[int]) -> int:
     """Bitwise OR over ``column[i] for i in indices`` as a Python int."""
-    if np is not None and isinstance(column, np.ndarray):
+    if isinstance(column, _ndarray):
         if not len(indices):
             return 0
-        return int(np.bitwise_or.reduce(column[indices]))
+        return int(_numpy.bitwise_or.reduce(column[indices]))
     out = 0
     for i in indices:
         out |= column[i]

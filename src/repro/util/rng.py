@@ -14,6 +14,13 @@ harness relies on:
 The implementation uses :class:`random.Random` seeded through SHA-256 of the
 ``(seed, label-path)`` pair, so it has no third-party dependencies and is
 stable across Python versions and platforms.
+
+Streams are seeded on first draw, not on construction.  Deriving the
+seed (one SHA-256) and seeding the Mersenne Twister cost about 11 µs, and
+many spawned sources are never drawn from — a crash-free replicated-log
+slot never touches its ``slot{k}`` stream.  Laziness cannot change a
+stream: the seed depends only on ``(seed, path)``, and the first draw
+sees exactly the generator construction would have built.
 """
 
 from __future__ import annotations
@@ -65,7 +72,32 @@ class RandomSource:
             raise ConfigurationError(f"seed must be an int, got {type(seed).__name__}")
         self._seed = seed & _MASK64
         self._path = path
-        self._rng = random.Random(derive_seed(self._seed, *path, "stream"))
+        # ``_rng`` stays unset until the first draw (see __getattr__).
+
+    def __getattr__(self, name: str) -> random.Random:
+        # Only reached while the ``_rng`` slot is unset: build the stream
+        # on first use and store it, so later draws read the slot
+        # directly with no indirection.
+        if name != "_rng":
+            raise AttributeError(name)
+        rng = random.Random(derive_seed(self._seed, *self._path, "stream"))
+        self._rng = rng
+        return rng
+
+    def __getstate__(self) -> tuple:
+        # Read the slot through its descriptor, which skips __getattr__:
+        # an undrawn source pickles (and copies) as undrawn, a drawn one
+        # carries its generator state and continues the same stream.
+        try:
+            rng = RandomSource._rng.__get__(self)
+        except AttributeError:
+            rng = None
+        return (self._seed, self._path, rng)
+
+    def __setstate__(self, state: tuple) -> None:
+        self._seed, self._path, rng = state
+        if rng is not None:
+            self._rng = rng
 
     # -- identity ---------------------------------------------------------
 

@@ -154,6 +154,34 @@ print("COMPLETED", flush=True)
 """
 
 
+def _stat_fields(pid: int) -> list[str] | None:
+    """``/proc/<pid>/stat`` after the command name (state first), or None."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()
+    except OSError:
+        return None
+
+
+def _children(pid: int) -> list[int]:
+    """Child pids of ``pid`` (shard workers, resource tracker) via /proc."""
+    if not os.path.isdir("/proc"):
+        return []
+    out = []
+    for entry in os.listdir("/proc"):
+        if entry.isdigit():
+            fields = _stat_fields(int(entry))
+            if fields is not None and int(fields[1]) == pid:
+                out.append(int(entry))
+    return out
+
+
+def _running(pid: int) -> bool:
+    """Alive and not a zombie (an exited orphan may wait to be reaped)."""
+    fields = _stat_fields(pid)
+    return fields is not None and fields[0] != "Z"
+
+
 class TestRealKill:
     def test_sigkill_mid_run_resumes_byte_identical(
         self, cells, serial_records, tmp_path
@@ -176,6 +204,7 @@ class TestRealKill:
         # if the sweep still finishes first, resume degrades to a no-op
         # and the byte-identity assertions below still bite).
         deadline = time.monotonic() + 60.0
+        orphans: list[int] = []
         while time.monotonic() < deadline:
             if proc.poll() is not None:
                 break
@@ -183,10 +212,19 @@ class TestRealKill:
                 f.name.startswith("shard-") and f.stat().st_size > 0
                 for f in killed_dir.iterdir()
             ):
+                orphans = _children(proc.pid)
                 proc.send_signal(signal.SIGKILL)
                 break
             time.sleep(0.002)
         proc.wait(timeout=60)
+
+        # The killed sweep's workers see EOF on their pipes and exit
+        # after at most their in-flight shard; none may linger orphaned.
+        exit_by = time.monotonic() + 10.0
+        while time.monotonic() < exit_by and any(map(_running, orphans)):
+            time.sleep(0.05)
+        lingering = [pid for pid in orphans if _running(pid)]
+        assert not lingering, f"orphaned sweep processes still alive: {lingering}"
 
         # Orphaned daemon workers exit after at most their in-flight
         # shard; wait for the directory to go quiet before resuming.

@@ -6,6 +6,7 @@ import pytest
 
 from repro.fabric.shm import DEPTH, INT_COLUMNS, ScalarSlab
 from repro.scenarios import RecordBatch, RunRecord, Scenario
+from repro.util.columns import load_numpy
 
 
 def _record(i: int, sim_time: float | None) -> RunRecord:
@@ -82,10 +83,7 @@ def test_depth_is_at_least_two_for_pipelining():
     assert DEPTH >= 2
 
 
-@pytest.mark.skipif(
-    not __import__("repro.util.columns", fromlist=["HAVE_NUMPY"]).HAVE_NUMPY,
-    reason="numpy not importable",
-)
+@pytest.mark.skipif(load_numpy() is None, reason="numpy not importable")
 class TestNumpyLoopLayoutParity:
     """The numpy bulk path and the loop fallback share one byte layout.
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +9,8 @@ from hypothesis import strategies as st
 from repro.errors import ConfigurationError
 from repro.timing.grid import crossover_curve, timing_grid
 from repro.timing.model import RoundCost, crossover_d
+
+np = pytest.importorskip("numpy")
 
 
 class TestTimingGrid:

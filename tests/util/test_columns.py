@@ -15,7 +15,6 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.util.columns import (
-    HAVE_NUMPY,
     all_int64,
     any_at,
     assign_slice,
@@ -24,8 +23,8 @@ from repro.util.columns import (
     int64_fits,
     int_column,
     is_array_column,
+    load_numpy,
     min_at,
-    np,
     or_at,
     put,
     take,
@@ -33,7 +32,8 @@ from repro.util.columns import (
 )
 from repro.util.tables import fill_column, refill_column
 
-needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not importable")
+np = load_numpy()
+needs_numpy = pytest.mark.skipif(np is None, reason="numpy not importable")
 
 
 class TestEligibility:
@@ -175,7 +175,7 @@ class TestRefillHelpersAcrossBackends:
             return [0, 1, 2, 3]
         if request.param == "array":
             return array("q", [0, 1, 2, 3])
-        if not HAVE_NUMPY:
+        if np is None:
             pytest.skip("numpy not importable")
         return np.array([0, 1, 2, 3], dtype=np.int64)
 

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
+from repro.util import rng as rng_mod
 from repro.util.rng import RandomSource, derive_seed
 
 
@@ -125,3 +130,59 @@ class TestRandomSource:
         items = list(range(20))
         sub = src.subset(items, 0.3)
         assert sub == [x for x in items if x in set(sub)]
+
+
+class TestLazySeeding:
+    """Streams are seeded on first draw, never on construction."""
+
+    @pytest.fixture
+    def seedings(self, monkeypatch):
+        calls = []
+        real = rng_mod.derive_seed
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(rng_mod, "derive_seed", counting)
+        return calls
+
+    def test_undrawn_spawn_does_no_seeding(self, seedings):
+        root = RandomSource(7)
+        child = root.spawn("slot1").spawn("inner")
+        assert seedings == []
+        assert child.path == ("slot1", "inner") and child.seed == 7
+        child.random()
+        assert seedings == [(7, "slot1", "inner", "stream")]
+        child.random()
+        assert len(seedings) == 1  # seeded once
+
+    def test_first_draw_matches_eager_generator(self):
+        ref = random.Random(derive_seed(99, "a", "b", "stream"))
+        src = RandomSource(99).spawn("a").spawn("b")
+        assert [src.random() for _ in range(5)] == [ref.random() for _ in range(5)]
+
+    def test_raw_is_stable(self):
+        src = RandomSource(3).spawn("x")
+        raw = src.raw
+        assert src.raw is raw
+        src.randint(0, 9)
+        assert src.raw is raw
+
+    @pytest.mark.parametrize("clone", [
+        copy.deepcopy,
+        lambda s: pickle.loads(pickle.dumps(s)),
+    ], ids=["deepcopy", "pickle"])
+    @pytest.mark.parametrize("drawn", [0, 3])
+    def test_round_trip_continues_the_stream(self, clone, drawn):
+        src = RandomSource(11).spawn("w")
+        for _ in range(drawn):
+            src.random()
+        twin = clone(src)
+        assert twin.seed == src.seed and twin.path == src.path
+        assert [twin.random() for _ in range(4)] == [src.random() for _ in range(4)]
+
+    def test_undrawn_clone_stays_unseeded(self, seedings):
+        twin = pickle.loads(pickle.dumps(RandomSource(5).spawn("p")))
+        copy.deepcopy(twin)
+        assert seedings == []
