@@ -36,6 +36,7 @@ from typing import Any, Mapping, Sequence
 
 from repro.errors import ConfigurationError
 from repro.baselines.floodset import value_key
+from repro.net.payload import bit_size
 from repro.sync.api import (
     BatchedAlgorithm,
     RoundInbox,
@@ -46,7 +47,15 @@ from repro.sync.api import (
     register_batched_table,
     register_vector_table,
 )
-from repro.util.columns import all_int64, bool_column, int_column, put, take
+from repro.util.columns import (
+    all_int64,
+    any_at,
+    bool_column,
+    int_column,
+    min_at,
+    put,
+    take,
+)
 from repro.util.tables import fill_column, refill_column
 
 __all__ = ["EarlyStoppingConsensus"]
@@ -182,17 +191,20 @@ class _EarlyStoppingTable(BatchedAlgorithm):
 class _EarlyStoppingVectorTable(VectorAlgorithm):
     """Array-columnar early-stopping: int64 ``est``/``nbr``, bool ``early``.
 
-    The crash-free round has a closed form the whole-column state makes
-    one pass: every sender reached every receiver, so each non-early
-    receiver's new estimate is the *global* minimum over the active set,
-    its ``nbr`` equals the active count, and the flag spreads to all or
-    none.  Crash rounds reconstruct per receiver from the truncated
-    sends (bounded by ``f`` rounds per run).  Requires plain-int
-    proposals and a uniform horizon; anything else falls back to the
-    list-batched table.
+    Every round has a closed form the whole-column state makes one pass.
+    The full broadcasts (every sender that did not crash mid-send, and
+    every crashing one that still reached everybody) fold into one global
+    minimum, one flag and one count: each non-early receiver is itself a
+    full sender with its flag unset, and its own estimate cannot lower
+    the minimum, so only the count drops by one for self.  A crash-free
+    round is all full broadcasts; a crash round adds per-receiver fixups
+    for the few receivers the truncated sends reached.  Values are plain
+    int64s, so ``value_key`` is the identity and the minimum is
+    order-free.  Requires plain-int proposals and a uniform horizon;
+    anything else falls back to the list-batched table.
     """
 
-    __slots__ = ("n", "horizon", "est", "early", "prev_nbr", "dests")
+    __slots__ = ("n", "horizon", "est", "early", "prev_nbr", "dests", "_payloads")
 
     def __init__(self, n: int, horizon: int, est: Any, early: Any, prev_nbr: Any) -> None:
         self.n = n
@@ -203,6 +215,9 @@ class _EarlyStoppingVectorTable(VectorAlgorithm):
         self.dests: list[tuple[int, ...]] = [
             tuple(j for j in range(1, n + 1) if j != pid) for pid in range(n + 1)
         ]
+        # (est, early) -> (payload, bits), interned per run: estimates
+        # converge on the minimum, so a run sends few distinct payloads.
+        self._payloads: dict[tuple[int, bool], tuple[tuple[int, bool], int]] = {}
 
     @classmethod
     def from_processes(
@@ -233,18 +248,33 @@ class _EarlyStoppingVectorTable(VectorAlgorithm):
         refill_column(self.est, proposals, offset=1)
         fill_column(self.early, False, offset=1)
         fill_column(self.prev_nbr, self.n, offset=1)
+        self._payloads.clear()
         return True
 
     def send_phase_vector(self, round_no: int, active: Sequence[int]) -> list[VectorSend]:
         # Every active process broadcasts (est, early) to all others; the
         # payload tuples carry Python scalars (bit-accounting parity).
         dests = self.dests
-        ests = take(self.est, active)
-        earlies = take(self.early, active)
-        return [
-            (pid, dests[pid], (e, bool(ey)), ())
-            for pid, e, ey in zip(active, ests, earlies)
+        interned = self._payloads
+        intern = self._intern
+        entries = [
+            interned.get(key) or intern(key)
+            for key in zip(take(self.est, active), take(self.early, active))
         ]
+        return [
+            (pid, dests[pid], payload, (), bits)
+            for pid, (payload, bits) in zip(active, entries)
+        ]
+
+    def _intern(self, key: tuple[int, Any]) -> tuple[tuple[int, bool], int]:
+        """Intern the payload for ``(est, early)`` with its bit width.
+
+        The fallback bool column yields 0/1, and ``(e, 1) == (e, True)``
+        finds the same entry; a new entry always stores a real bool.
+        """
+        payload = (key[0], bool(key[1]))
+        entry = self._payloads[payload] = (payload, bit_size(payload))
+        return entry
 
     def compute_phase_vector(
         self,
@@ -257,62 +287,74 @@ class _EarlyStoppingVectorTable(VectorAlgorithm):
         est = self.est
         early = self.early
         prev_nbr = self.prev_nbr
-        decisions: dict[int, Any] = {}
         ro = receiver_order
+        if not ro:
+            return {}
+        ests = take(est, ro)
+        earlies = take(early, ro)
+        # ``views``: receivers a truncated send reached, with their own
+        # (estimate, flag, nbr); everyone else shares the folded one.
+        views: dict[int, tuple[int, bool, int]] = {}
         if crash_free:
-            # Senders == receivers: one global minimum, one shared nbr.
-            ests = take(est, ro)
-            earlies = take(early, ro)
+            # Senders == receivers, all full broadcasts.
             m = min(ests)
             flagged = any(earlies)
             nbr = len(ro)
-            if round_no == self.horizon:
-                # Everyone decides: early processes their broadcast value,
-                # the rest the global minimum (ascending pid order).
-                for pid, e, v in zip(ro, earlies, ests):
-                    decisions[pid] = v if e else m
-                return decisions
-            stayers = [pid for pid, e in zip(ro, earlies) if not e]
+        else:
+            full = self.n - 1
+            senders = []
+            late: dict[int, list[tuple[int, bool]]] = {}
+            for sender, dests, payload, _control, _bits in sends:
+                if len(dests) == full:
+                    senders.append(sender)
+                else:
+                    for d in dests:
+                        if d in receivers:
+                            late.setdefault(d, []).append(payload)
+            # Every receiver is a full sender, so ``senders`` is nonempty.
+            m = min_at(est, senders)
+            flagged = any_at(early, senders)
+            nbr = len(senders)  # heard from len - 1 others, plus self
+            for pid, got in late.items():
+                if not early[pid]:
+                    views[pid] = (
+                        min(m, min(e for e, _ in got)),
+                        flagged or any(ey for _, ey in got),
+                        nbr + len(got),
+                    )
+        decisions: dict[int, Any] = {}
+        if round_no == self.horizon:
+            # Everyone decides: early processes their broadcast value,
+            # the rest their new estimate (ascending pid order).
             for pid, e, v in zip(ro, earlies, ests):
                 if e:
                     decisions[pid] = v
-            put(est, stayers, m)
-            if flagged:
-                put(early, stayers, True)
-            else:
-                flips = [pid for pid in stayers if prev_nbr[pid] == nbr]
-                put(early, flips, True)
-            put(prev_nbr, stayers, nbr)
+                else:
+                    view = views.get(pid)
+                    decisions[pid] = m if view is None else view[0]
             return decisions
-        # Crash round: per-receiver reconstruction over the truncated sends.
-        full = self.n - 1
-        for pid in ro:
-            if early[pid]:
-                decisions[pid] = int(est[pid])
-                continue
-            my_est = int(est[pid])
-            my_key = value_key(my_est)
-            flagged = False
-            count = 0
-            for sender, dests, payload, _control in sends:
-                if sender == pid:
-                    continue
-                if len(dests) != full and pid not in dests:
-                    continue  # truncated subset missing this receiver
-                count += 1
-                got, got_early = payload
-                key = value_key(got)
-                if key < my_key:
-                    my_est = got
-                    my_key = key
-                if got_early:
-                    flagged = True
-            nbr = count + 1
+        if any(earlies):
+            # The EARLY broadcasts of this round completed: decide them.
+            decisions = {pid: v for pid, e, v in zip(ro, earlies, ests) if e}
+        if decisions or views:
+            stayers = [
+                pid for pid, e in zip(ro, earlies) if not e and pid not in views
+            ]
+        else:
+            stayers = ro
+        put(est, stayers, m)
+        if flagged:
+            put(early, stayers, True)
+        else:
+            flips = [
+                pid for pid, prev in zip(stayers, take(prev_nbr, stayers))
+                if prev == nbr
+            ]
+            put(early, flips, True)
+        put(prev_nbr, stayers, nbr)
+        for pid, (my_est, my_flag, my_nbr) in views.items():
             est[pid] = my_est
-            if round_no == self.horizon:
-                decisions[pid] = my_est
-                continue
-            if flagged or nbr == prev_nbr[pid]:
+            if my_flag or prev_nbr[pid] == my_nbr:
                 early[pid] = True
-            prev_nbr[pid] = nbr
+            prev_nbr[pid] = my_nbr
         return decisions

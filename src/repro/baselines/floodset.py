@@ -27,7 +27,7 @@ from __future__ import annotations
 from typing import Any, Mapping, Sequence
 
 from repro.errors import ConfigurationError
-from repro.net.payload import SizedValue
+from repro.net.payload import SizedValue, bit_size
 from repro.sync.api import (
     EMPTY_INBOX,
     NO_SEND,
@@ -45,6 +45,10 @@ from repro.util.columns import int64_fits, is_ndarray, or_at, take, uint64_colum
 #: Fallback-path mask clamp: ``~known`` on Python ints goes negative, the
 #: ``array("Q")`` column only stores 64-bit non-negatives.
 _MASK64 = (1 << 64) - 1
+
+#: Width of an empty value set: a set payload costs this framing plus the
+#: width of each element (:func:`repro.net.payload.bit_size`).
+_SET_FRAMING_BITS = bit_size(frozenset())
 
 #: Shared "learned nothing" value for the relay column: only ever tested for
 #: emptiness or subtracted from, never mutated in place.
@@ -182,25 +186,34 @@ class _FloodSetVectorTable(VectorAlgorithm):
     ints (and the horizon is uniform): value → bit position in ascending
     value order, so set union is bitwise OR, "learned nothing new" is
     ``incoming & ~known == 0``, and the horizon decision — the minimum of
-    ``W`` — is the lowest set bit.  The crash-free round is three
-    whole-column operations; payloads decode back to the exact frozensets
-    the object path sends (cached per mask, so repeated relays cost a
-    dict hit).
+    ``W`` — is the lowest set bit.  A round is one OR over the full
+    broadcasts plus whole-column writes; only receivers a crashing
+    sender's truncated send reached get a per-pid fixup.  Payloads decode
+    back to the exact frozensets the object path sends (cached per mask
+    with their bit width, so repeated relays cost a dict hit).  Once a
+    round passes with no speaker nobody can learn anything again, so the
+    table goes *quiet*: no sends, and only the horizon decision, until
+    the next :meth:`refill`.
     """
 
-    __slots__ = ("n", "horizon", "universe", "bit_of", "known", "new", "dests", "_payloads")
+    __slots__ = (
+        "n", "horizon", "universe", "bit_of", "known", "new", "dests",
+        "_widths", "_payloads", "_quiet",
+    )
 
     def __init__(self, n: int, horizon: int, universe: list[int], known: Any, new: Any) -> None:
         self.n = n
         self.horizon = horizon  # uniform t + 1
         self.universe = universe  # bit -> value, ascending
         self.bit_of = {v: i for i, v in enumerate(universe)}
+        self._widths = [bit_size(v) for v in universe]
         self.known = known
         self.new = new
         self.dests: list[tuple[int, ...]] = [
             tuple(j for j in range(1, n + 1) if j != pid) for pid in range(n + 1)
         ]
-        self._payloads: dict[int, frozenset[int]] = {}
+        self._payloads: dict[int, tuple[frozenset[int], int]] = {}
+        self._quiet = False
 
     @classmethod
     def from_processes(cls, processes: Sequence[SyncProcess]) -> "_FloodSetVectorTable | None":
@@ -234,6 +247,7 @@ class _FloodSetVectorTable(VectorAlgorithm):
         if universe != self.universe:
             self.universe = universe
             self.bit_of = {v: i for i, v in enumerate(universe)}
+            self._widths = [bit_size(v) for v in universe]
             self._payloads.clear()
         bit_of = self.bit_of
         masks = [1 << bit_of[v] for v in proposals]
@@ -242,32 +256,40 @@ class _FloodSetVectorTable(VectorAlgorithm):
         for pid, mask in enumerate(masks, start=1):
             known[pid] = mask
             new[pid] = mask
+        self._quiet = False
         return True
 
-    def _payload(self, mask: int) -> frozenset[int]:
-        """The frozenset the object path would send for this ``new`` mask."""
+    def _payload(self, mask: int) -> tuple[frozenset[int], int]:
+        """The frozenset the object path would send for this ``new`` mask,
+        with its bit width: a set's framing plus its elements' widths,
+        each value sized once per universe."""
         cached = self._payloads.get(mask)
         if cached is None:
             universe = self.universe
+            widths = self._widths
             values = []
+            bits = _SET_FRAMING_BITS
             m = mask
             while m:
                 low = m & -m
-                values.append(universe[low.bit_length() - 1])
+                i = low.bit_length() - 1
+                values.append(universe[i])
+                bits += widths[i]
                 m ^= low
-            cached = self._payloads[mask] = frozenset(values)
+            cached = self._payloads[mask] = (frozenset(values), bits)
         return cached
 
     def send_phase_vector(self, round_no: int, active: Sequence[int]) -> list[VectorSend]:
-        if round_no > self.horizon:
-            return []  # defensive, mirroring the object path
+        if self._quiet or round_no > self.horizon:
+            return []  # nothing left to relay (or defensive, like the object path)
         dests = self.dests
         payload = self._payload
-        return [
-            (pid, dests[pid], payload(mask), ())
-            for pid, mask in zip(active, take(self.new, active))
-            if mask
-        ]
+        sends = []
+        for pid, mask in zip(active, take(self.new, active)):
+            if mask:
+                values, bits = payload(mask)
+                sends.append((pid, dests[pid], values, (), bits))
+        return sends
 
     def compute_phase_vector(
         self,
@@ -280,33 +302,41 @@ class _FloodSetVectorTable(VectorAlgorithm):
         known = self.known
         new = self.new
         ro = receiver_order
-        if crash_free:
+        if not sends:
+            # Every active ``new`` was already empty and stays so: quiet
+            # from here on (crashes only shrink the active set).
+            self._quiet = True
+        elif crash_free:
             # Every receiver hears every speaker.  A receiver's own relay
             # contributes only bits it already knows, so one global OR
             # serves everyone: fresh = total & ~known.  The payloads were
             # cut from the ``new`` column this very round, so the masks
             # come straight back out of it — no frozenset re-encoding.
-            total = or_at(new, [s[0] for s in sends]) if sends else 0
-            if total:
-                self._or_in(total, ro)
-            else:
-                self._clear_new(ro)
+            self._or_in(or_at(new, [s[0] for s in sends]), ro)
         else:
+            # Fold the full broadcasts once; the truncated sends of the
+            # crashing senders add per-receiver extras.  All masks are
+            # read before any ``new`` is overwritten.
             full = self.n - 1
-            masks = [
-                (s[0], s[1], len(s[1]) == full, int(new[s[0]])) for s in sends
-            ]
-            for pid in ro:
-                incoming = 0
-                for sender, dests, is_full, mask in masks:
-                    if sender == pid:
-                        continue
-                    if is_full or pid in dests:
-                        incoming |= mask
-                k = int(known[pid])
-                fresh = incoming & ~k
-                new[pid] = fresh
-                known[pid] = k | fresh
+            total = 0
+            extra: dict[int, int] = {}
+            for sender, dests, _payload, _control, _bits in sends:
+                mask = int(new[sender])
+                if len(dests) == full:
+                    total |= mask
+                else:
+                    for d in dests:
+                        if d in receivers:
+                            extra[d] = extra.get(d, 0) | mask
+            if extra:
+                self._or_in(total, [pid for pid in ro if pid not in extra])
+                for pid, mask in extra.items():
+                    k = int(known[pid])
+                    fresh = (total | mask) & ~k
+                    new[pid] = fresh
+                    known[pid] = k | fresh
+            else:
+                self._or_in(total, ro)
         if round_no != self.horizon:
             return {}
         # Horizon: everyone decides min(W) — the lowest set bit.
@@ -332,11 +362,3 @@ class _FloodSetVectorTable(VectorAlgorithm):
             fresh = total & ~k & _MASK64
             new[pid] = fresh
             known[pid] = k | fresh
-
-    def _clear_new(self, ro: list[int]) -> None:
-        new = self.new
-        if is_ndarray(new):
-            new[ro] = 0
-            return
-        for pid in ro:
-            new[pid] = 0

@@ -43,6 +43,7 @@ from bisect import bisect_right
 from typing import Any, Mapping, Sequence
 
 from repro.errors import ModelViolationError
+from repro.net.payload import bit_size
 from repro.sync.api import (
     EMPTY_INBOX,
     NO_SEND,
@@ -243,7 +244,8 @@ class CRWVectorTable(VectorAlgorithm):
         control = range(self.n, round_no, -1)
         if not data:  # p_n's round: nobody above it to tell
             return []
-        return [(round_no, data, int(self.est[round_no]), control)]
+        value = int(self.est[round_no])
+        return [(round_no, data, value, control, bit_size(value))]
 
     def compute_phase_vector(
         self,
@@ -261,7 +263,7 @@ class CRWVectorTable(VectorAlgorithm):
             if coord_alive:
                 decisions[round_no] = int(est[round_no])  # line 6
             return decisions
-        _sender, dests, value, control = sends[0]
+        _sender, dests, value, control, _bits = sends[0]
         if crash_free:
             # Uniform round: every receiver above the coordinator got
             # DATA + COMMIT -> adopts and decides (lines 7-8); the

@@ -28,6 +28,7 @@ from bisect import bisect_left, bisect_right
 from typing import Any, Mapping, Sequence
 
 from repro.core.crw import CRWConsensus, CRWTable, CRWVectorTable
+from repro.net.payload import bit_size
 from repro.sync.api import (
     EMPTY_INBOX,
     NO_SEND,
@@ -356,7 +357,7 @@ class _EagerCRWVectorTable(CRWVectorTable):
             decisions[round_no] = int(est[round_no])
         if not sends:
             return decisions
-        _sender, dests, value, _control = sends[0]
+        _sender, dests, value, _control, _bits = sends[0]
         got_data = receivers.intersection(dests)
         if got_data:
             deciders = sorted(got_data)
@@ -374,8 +375,8 @@ class _IncreasingCommitCRWVectorTable(CRWVectorTable):
     def send_phase_vector(self, round_no: int, active: Sequence[int]) -> list[VectorSend]:
         sends = super().send_phase_vector(round_no, active)
         if sends:
-            sender, data, value, _control = sends[0]
-            sends[0] = (sender, data, value, range(round_no + 1, self.n + 1))
+            sender, data, value, _control, bits = sends[0]
+            sends[0] = (sender, data, value, range(round_no + 1, self.n + 1), bits)
         return sends
 
 
@@ -393,15 +394,12 @@ class _FullBroadcastCRWVectorTable(CRWVectorTable):
 
     def send_phase_vector(self, round_no: int, active: Sequence[int]) -> list[VectorSend]:
         sends = super().send_phase_vector(round_no, active)
-        if not sends and active and active[0] == round_no == self.n:
-            # p_n's round: the base table goes silent (nobody above), the
-            # broadcast variant still addresses 1..n-1.
-            sends = [(round_no, None, int(self.est[round_no]), None)]
-        if sends:
-            sender = sends[0][0]
-            others = tuple(j for j in range(1, self.n + 1) if j != sender)
-            control = tuple(sorted(others, reverse=True))
-            sends[0] = (sender, others, sends[0][2], control)
+        # p_n's round: the base table goes silent (nobody above), the
+        # broadcast variant still addresses 1..n-1.
+        if sends or (active and active[0] == round_no == self.n):
+            value = int(self.est[round_no])
+            others = tuple(j for j in range(1, self.n + 1) if j != round_no)
+            sends = [(round_no, others, value, others[::-1], bit_size(value))]
         return sends
 
 
@@ -453,7 +451,8 @@ class _TruncatedCRWVectorTable(VectorAlgorithm):
         data = range(round_no + 1, self.n + 1)
         if not data:
             return []
-        return [(round_no, data, int(self.est[round_no]), range(self.n, round_no, -1))]
+        value = int(self.est[round_no])
+        return [(round_no, data, value, range(self.n, round_no, -1), bit_size(value))]
 
     def compute_phase_vector(
         self,
@@ -467,7 +466,7 @@ class _TruncatedCRWVectorTable(VectorAlgorithm):
         deadline = round_no >= self.k
         decisions: dict[int, Any] = {}
         if crash_free and sends:
-            _sender, _dests, value, _control = sends[0]
+            _sender, _dests, value, _control, _bits = sends[0]
             pos = bisect_right(receiver_order, round_no)
             followers = receiver_order[pos:]
             put(est, followers, value)
@@ -484,7 +483,7 @@ class _TruncatedCRWVectorTable(VectorAlgorithm):
                     decisions[pid] = int(est[pid])
             return decisions
         # Crash round with a (possibly truncated) coordinator send.
-        _sender, dests, value, control = sends[0]
+        _sender, dests, value, control, _bits = sends[0]
         got_data = receivers.intersection(dests)
         got_control = receivers.intersection(control)
         if got_data:

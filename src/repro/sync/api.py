@@ -343,23 +343,28 @@ def batched_table_for(processes: Sequence[SyncProcess]) -> BatchedAlgorithm | No
 # ---------------------------------------------------------------------------
 
 #: One speaker's outgoing traffic for one round, as a plain tuple
-#: ``(sender, data_dests, payload, control_dests)``:
+#: ``(sender, data_dests, payload, control_dests, bits)``:
 #:
 #: * ``data_dests`` — the planned data destinations.  A ``range`` (the
 #:   coordinator patterns), the table's precomputed all-others tuple, or —
 #:   after crash truncation — the resolved ``frozenset`` subset.  **Every
 #:   destination carries the same ``payload``** (uniform-payload contract;
-#:   all first-party sync algorithms broadcast one value per round), and a
-#:   tuple of length ``n - 1`` is by contract the all-others broadcast.
+#:   all first-party sync algorithms broadcast one value per round), and
+#:   ``data_dests`` of length ``n - 1`` is by contract the all-others
+#:   broadcast: a *full* send that reaches every receiver.
 #: * ``payload`` — the exact value the per-process ``send_phase`` would
-#:   have put in the plan (Python-native types: the bit-accounting memo
-#:   and JSON serialization are type-sensitive).
+#:   have put in the plan (Python-native types: bit sizing and JSON
+#:   serialization are type-sensitive).
 #: * ``control_dests`` — ordered control destinations, ``range`` or tuple
 #:   (sliceable: a crash delivers ``control_dests[:prefix]``).
+#: * ``bits`` — ``bit_size(payload)``, filled in by the table that built
+#:   the payload (sized once per distinct payload, not once per send).
+#:   Crash truncation keeps it; the engine charges accounting from it and
+#:   never sizes a vector payload itself.
 #:
 #: Tuples, not a dataclass: the engine builds/consumes one per speaker per
 #: round on the benchmark-critical path.
-VectorSend = tuple  # (sender, data_dests, payload, control_dests)
+VectorSend = tuple  # (sender, data_dests, payload, control_dests, bits)
 
 
 class VectorAlgorithm(abc.ABC):
@@ -383,7 +388,12 @@ class VectorAlgorithm(abc.ABC):
     * :meth:`send_phase_vector` returns sends for **speakers only**, in
       ascending pid order, mirroring what the per-process ``send_phase``
       loop would have produced (including raising the same model
-      violations).  Silent processes simply do not appear.
+      violations).  Silent processes simply do not appear.  The list is
+      the round's own (the engine truncates crashing senders' tuples in
+      place, finding them by bisection on the sender).  Each send's
+      ``bits`` must equal ``bit_size(payload)``: the engine trusts it
+      for the message accounting.  Tables size each distinct payload
+      once (per round, or from a per-run intern cache).
     * :meth:`compute_phase_vector` receives the post-truncation sends and
       the surviving receivers and returns the round's new decisions
       ``{pid: value}`` **in ascending pid order** with Python-native
@@ -391,8 +401,11 @@ class VectorAlgorithm(abc.ABC):
       inherit dict insertion order.
     * ``crash_free=True`` guarantees every send was delivered in full to
       every receiver (no crash resolved this round), unlocking the
-      uniform whole-column math; ``crash_free=False`` rounds take the
-      table's per-receiver fallback over the truncated sends.
+      uniform whole-column math.  On ``crash_free=False`` rounds the
+      full sends (``data_dests`` of length ``n - 1``) still reached
+      every receiver, so tables fold them once and look per receiver
+      only at the truncated sends of the crashing senders — a crash
+      round costs O(n + truncated destinations), not O(n²).
 
     Vector tables are first-party mirrors of their process classes (the
     vector parity grid runs the validated object path against them), so

@@ -66,6 +66,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Any, Mapping
 
 from repro.errors import ConfigurationError, SimulationError
@@ -461,22 +462,26 @@ def _delivered_count(
 ) -> int:
     """``|dests ∩ receivers|`` without iterating the destinations.
 
-    Exploits the shapes first-party vector tables emit: a ``range``
-    (contiguous coordinator pattern — two bisects over the sorted
-    receivers), the all-others broadcast tuple of length ``n - 1`` (one
-    membership test), or — the rare truncated-crash case — an arbitrary
+    Exploits the shapes first-party vector tables emit: any collection
+    of length ``n - 1`` (destinations are distinct and never the sender,
+    so that is the all-others broadcast — one membership test), a
+    ``range`` (contiguous coordinator pattern — two bisects over the
+    sorted receivers), or — the rare truncated-crash case — an arbitrary
     small collection (generic membership loop).
     """
-    tp = type(dests)
-    if tp is range:
+    if len(dests) == n_minus_1:
+        return len(receivers) - (sender in receivers)
+    if type(dests) is range:
         if dests.step == 1:
             lo, hi = dests.start, dests.stop
         else:  # step == -1 (the descending COMMIT pattern)
             lo, hi = dests.stop + 1, dests.start + 1
         return bisect_left(receiver_order, hi) - bisect_left(receiver_order, lo)
-    if tp is tuple and len(dests) == n_minus_1:
-        return len(receivers) - (1 if sender in receivers else 0)
     return sum(d in receivers for d in dests)
+
+
+#: Sort key of a :data:`~repro.sync.api.VectorSend`: its sender.
+_sender = itemgetter(0)
 
 
 def _account_vector(
@@ -489,21 +494,28 @@ def _account_vector(
     """Charge a vector round's traffic in aggregate.
 
     Totals are identical to routing the same round through
-    :func:`_deliver_fast` — per-payload bit sizing (memoized), sent
-    counts over the post-truncation destinations, delivered counts over
-    the surviving receivers — just summed across senders before the
-    (single) bulk calls.
+    :func:`_deliver_fast` — per-payload bit widths (each send carries
+    the ``bits`` its table sized once), sent counts over the
+    post-truncation destinations, delivered counts over the surviving
+    receivers — just summed across senders before the (single) bulk
+    calls.  Flooding rounds are mostly full broadcasts, whose delivered
+    count is inlined.
     """
     data_sent = data_bits = data_del = data_del_bits = 0
     ctrl_sent = ctrl_del = 0
     n_minus_1 = n - 1
-    for sender, dests, payload, control in sends:
+    n_receivers = len(receivers)
+    for sender, dests, _payload, control, bits in sends:
         if dests:
             count = len(dests)
-            bits = bit_size(payload)
             data_sent += count
             data_bits += bits * count
-            d = _delivered_count(sender, dests, receivers, receiver_order, n_minus_1)
+            if count == n_minus_1:
+                d = n_receivers - (sender in receivers)
+            else:
+                d = _delivered_count(
+                    sender, dests, receivers, receiver_order, n_minus_1
+                )
             if d:
                 data_del += d
                 data_del_bits += bits * d
@@ -538,7 +550,9 @@ def _execute_round_vector(
     send list: crashes resolve against each crashing sender's send tuple
     (same rng draws — resolution only observes the destination *set* and
     the control length), truncation rewrites the affected tuples in
-    place of delivery, and accounting/computation run off the shapes.
+    place of delivery (their ``bits`` carry over: a truncated send still
+    carries the same payload), and accounting/computation run off the
+    shapes.
     Only ever called with tracing off (engines enforce it).
     """
     if active_order is None:
@@ -546,16 +560,19 @@ def _execute_round_vector(
     sends = vtable.send_phase_vector(round_no, active_order)
 
     resolved: dict[int, ResolvedCrash] = {}
+    cut: dict[int, ResolvedCrash] = {}  # send index -> its sender's crash
     if crash_events:
-        send_by_pid = {s[0]: s for s in sends}
         for pid, event in crash_events.items():
             if pid not in active:
                 continue
-            s = send_by_pid.get(pid)
-            if s is None:
-                resolved[pid] = event.resolve((), (), rng)
+            # Sends are in ascending sender order: a bisect finds the
+            # crashing sender's tuple without indexing the whole round.
+            i = bisect_left(sends, pid, key=_sender)
+            if i < len(sends) and sends[i][0] == pid:
+                s = sends[i]
+                resolved[pid] = cut[i] = event.resolve(s[1], s[3], rng)
             else:
-                resolved[pid] = event.resolve(s[1], s[3], rng)
+                resolved[pid] = event.resolve((), (), rng)
 
     if resolved:
         crashing = set(resolved)
@@ -565,17 +582,16 @@ def _execute_round_vector(
         else:
             receiver_order = [pid for pid in active_order if pid not in crashing]
         receivers = active - crashing
-        if sends:
-            truncated = []
-            for s in sends:
-                rc = resolved.get(s[0])
-                if rc is None:
-                    truncated.append(s)
-                else:
-                    control = s[3][: rc.control_prefix]
-                    if rc.data_subset or control:
-                        truncated.append((s[0], rc.data_subset, s[2], control))
-            sends = truncated
+        # Truncate the crashing senders' tuples in place (the round owns
+        # the list), highest index first so deletions keep the rest valid.
+        for i in sorted(cut, reverse=True):
+            s = sends[i]
+            rc = cut[i]
+            control = s[3][: rc.control_prefix]
+            if rc.data_subset or control:
+                sends[i] = (s[0], rc.data_subset, s[2], control, s[4])
+            else:
+                del sends[i]
     else:
         crashing = None
         receiver_order = active_order

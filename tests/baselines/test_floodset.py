@@ -10,7 +10,7 @@ from repro.baselines.floodset import FloodSetConsensus, value_key
 from repro.errors import ConfigurationError
 from repro.net.payload import SizedValue
 from repro.sync.adversary import RandomCrashes
-from repro.sync.crash import CrashEvent, CrashPoint, CrashSchedule
+from repro.sync.crash import CrashEvent, CrashPoint, CrashSchedule, Subset
 from repro.sync.engine import ClassicSynchronousEngine
 from repro.sync.spec import assert_consensus, check_consensus
 from repro.util.rng import RandomSource
@@ -92,3 +92,70 @@ class TestFloodSet:
         sched = RandomCrashes(f, max_round=t + 1, classic=True).schedule(n, t, rng)
         result = run_floodset(n, t, sched, proposals=proposals, rng=rng)
         assert_consensus(result, round_bound=t + 1)
+
+
+class TestVectorQuietState:
+    """The vector table goes quiet after a round with no speaker: no
+    sends, only the horizon decision.  Nothing observable may change."""
+
+    N, T = 8, 6  # horizon 7: several silent rounds after the flood
+
+    def _engine(self, proposals, schedule, seed, batched):
+        procs = [
+            FloodSetConsensus(pid, self.N, proposals[pid - 1], self.T)
+            for pid in range(1, self.N + 1)
+        ]
+        return ClassicSynchronousEngine(
+            procs, schedule, t=self.T, rng=RandomSource(seed), trace=False,
+            batched=batched,
+        )
+
+    def test_crash_after_silence_lands_like_the_object_path(self):
+        proposals = [100 + pid for pid in range(1, self.N + 1)]
+        schedule = CrashSchedule([
+            # Round 1 draws a real subset; rounds 5 and 6 fall in the
+            # silence, where the crashing process has nothing to send.
+            CrashEvent(pid=2, round_no=1, point=CrashPoint.DURING_DATA,
+                       data_policy=Subset.RANDOM),
+            CrashEvent(pid=4, round_no=5, point=CrashPoint.DURING_DATA,
+                       data_policy=Subset.RANDOM),
+            CrashEvent(pid=7, round_no=6, point=CrashPoint.BEFORE_SEND),
+        ])
+        vector = self._engine(proposals, schedule, 3, "vector")
+        while vector.round_no < 4:
+            vector.step()
+        assert vector._vtable._quiet  # silent before either late crash
+        vector.run()
+        reference = self._engine(proposals, schedule, 3, False)
+        reference.run()
+
+        assert vector.crashed_rounds == reference.crashed_rounds == {2: 1, 4: 5, 7: 6}
+        got, want = vector.result(), reference.result()
+        assert got.outcomes == want.outcomes
+        assert got.rounds_executed == want.rounds_executed == self.T + 1
+        assert got.stats == want.stats
+        # Same draws: both streams stand at the same position afterwards.
+        assert vector.rng.random() == reference.rng.random()
+
+    def test_refill_after_a_silent_run_speaks_again(self):
+        first = [100 + pid for pid in range(1, self.N + 1)]
+        engine = self._engine(first, None, 1, None)
+        assert engine._vtable is not None  # auto mode engaged the table
+        engine.run()
+        assert engine._vtable._quiet
+
+        second = [50 - pid for pid in range(1, self.N + 1)]
+        schedule = CrashSchedule([
+            CrashEvent(pid=5, round_no=2, point=CrashPoint.DURING_DATA,
+                       data_policy=Subset.RANDOM),
+        ])
+        assert engine.refill(second, schedule, rng=RandomSource(9))
+        assert not engine._vtable._quiet
+        engine.step()
+        assert engine.stats.data_sent == self.N * (self.N - 1)  # all speak
+        result = engine.run()
+
+        fresh = self._engine(second, schedule, 9, None).run()
+        assert result.outcomes == fresh.outcomes
+        assert result.rounds_executed == fresh.rounds_executed
+        assert result.stats == fresh.stats

@@ -10,18 +10,34 @@ reference — the normalized RunRecord and every MessageStats counter —
 across adversaries, seeds, and engine reuse (fresh / leased / refilled).
 
 The same file runs under ``REPRO_NO_NUMPY=1`` in CI, pinning the stdlib
-``array`` fallback to the same bytes.
+``array`` fallback to the same bytes.  The generated crash-round grid
+below also switches backends in process, so both run in every job that
+has numpy.
+
+Crash rounds are where the vector tables take shortcuts: the flooding
+tables fold the full broadcasts once and patch up only the receivers a
+truncated (crashing) sender reached, and every table hands the engine
+its payloads' bit widths.  The generated grid, the multi-truncation
+cells and the width contract below pin those shortcuts.
 """
 
 from __future__ import annotations
 
+import contextlib
 import warnings
+from array import array
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
+from repro.net.payload import bit_size
 from repro.scenarios import ADVERSARIES, ALGORITHMS, EngineLease, Scenario, execute
-from repro.sync.api import vector_table_for
+from repro.sync.api import _VECTOR_TABLES, vector_table_for
+from repro.sync.crash import CrashEvent, CrashPoint, CrashSchedule, Subset
+from repro.util import columns
+from repro.util.rng import RandomSource
 
 
 def _has_vtable(name: str) -> bool:
@@ -204,3 +220,235 @@ def test_sharded_sweep_runs_vectorized_cells(tmp_path):
     ).run()
     reference = [execute(cell, batched=False) for cell in cells]
     assert [r.to_dict() for r in sharded] == [r.to_dict() for r in reference]
+
+
+# ---------------------------------------------------------------------------
+# Crash rounds: generated grid, multi-truncation cells, width contract.
+# ---------------------------------------------------------------------------
+
+
+@contextlib.contextmanager
+def column_backend(name: str):
+    """Build vector columns on ``name`` ("numpy" or "array") inside.
+
+    "array" hides a loaded numpy from :mod:`repro.util.columns` for the
+    duration, the in-process equivalent of ``REPRO_NO_NUMPY=1`` for
+    tables built inside the block.
+    """
+    if name == "numpy":
+        assert columns.load_numpy() is not None
+        yield
+        return
+    saved = columns._numpy, columns._ndarray
+    columns._numpy, columns._ndarray = None, ()
+    try:
+        yield
+    finally:
+        columns._numpy, columns._ndarray = saved
+
+
+BACKENDS = [
+    pytest.param(
+        "numpy",
+        marks=pytest.mark.skipif(
+            columns.load_numpy() is None, reason="numpy not importable"
+        ),
+    ),
+    "array",
+]
+
+CRASH_ADVERSARIES = ("random", "staggered", "coordinator-killer")
+
+
+def _table_class(algorithm: str) -> type:
+    procs = ALGORITHMS.get(algorithm).factory(3, 2, [1, 2, 3], {})
+    return type(vector_table_for(procs))
+
+
+def _assert_parity(scenario: Scenario) -> None:
+    vector = execute(scenario, batched="vector")
+    reference = execute(scenario, batched=False)
+    assert vector.to_dict() == reference.to_dict(), scenario
+    assert vector.raw.stats == reference.raw.stats, scenario
+
+
+@st.composite
+def crash_cells(draw, algorithm: str) -> Scenario:
+    n = draw(st.integers(2, 32))
+    t = draw(st.integers(0, n - 1))
+    return Scenario(
+        algorithm=algorithm,
+        n=n,
+        t=t,
+        f=draw(st.integers(min(1, t), t)),  # crash whenever t allows
+        adversary=draw(st.sampled_from(CRASH_ADVERSARIES)),
+        seed=draw(st.integers(0, 2**16)),
+    )
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_array_backend_switch_builds_array_columns(backend):
+    """The backend switch really changes what the tables are built on."""
+    with column_backend(backend):
+        for algorithm in VECTOR_ALGORITHMS:
+            procs = ALGORITHMS.get(algorithm).factory(4, 3, [1, 2, 3, 4], {})
+            table = vector_table_for(procs)
+            column = getattr(table, "est", None)
+            if column is None:
+                column = table.known  # floodset
+            assert isinstance(column, array) == (backend == "array"), algorithm
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("algorithm", VECTOR_ALGORITHMS)
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_generated_crash_rounds_match_object_path(backend, algorithm, data):
+    """Every vector algorithm, n in [2, 32], f <= t, crash-heavy
+    adversaries: vector records and counters equal the object path's."""
+    scenario = data.draw(crash_cells(algorithm))
+    with column_backend(backend):
+        _assert_parity(scenario)
+
+
+class TestMultiTruncationRounds:
+    """n=32 crash rounds in which two or more senders are cut short — the
+    flooding tables' fold plus per-receiver fixups, several at once."""
+
+    #: (f, seed) pairs of the ``random`` adversary at n=32 whose runs have
+    #: a round with at least two truncated senders.
+    RANDOM_CELLS = [(3, 9), (4, 5), (4, 12), (6, 16)]
+
+    @staticmethod
+    def _spy(monkeypatch, algorithm: str) -> list[int]:
+        """Record, per crash round, how many sends arrive truncated."""
+        table_cls = _table_class(algorithm)
+        real = table_cls.compute_phase_vector
+        truncated: list[int] = []
+
+        def spy(self, round_no, receivers, receiver_order, sends, crash_free):
+            if not crash_free:
+                truncated.append(sum(len(s[1]) != self.n - 1 for s in sends))
+            return real(self, round_no, receivers, receiver_order, sends, crash_free)
+
+        monkeypatch.setattr(table_cls, "compute_phase_vector", spy)
+        return truncated
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("algorithm", ["early-stopping", "floodset"])
+    @pytest.mark.parametrize("f,seed", RANDOM_CELLS)
+    def test_random_adversary_cells(self, monkeypatch, backend, algorithm, f, seed):
+        truncated = self._spy(monkeypatch, algorithm)
+        scenario = Scenario(
+            algorithm=algorithm, n=32, f=f, adversary="random", seed=seed
+        )
+        with column_backend(backend):
+            _assert_parity(scenario)
+        assert max(truncated) >= 2, truncated
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("algorithm", ["early-stopping", "floodset"])
+    def test_many_senders_cut_in_one_round(self, monkeypatch, backend, algorithm):
+        """A hand-made schedule: five random-subset crashes in round 1,
+        three in round 2, one after its send in round 3."""
+        from repro.sync.engine import ClassicSynchronousEngine
+
+        truncated = self._spy(monkeypatch, algorithm)
+        n, t = 32, 12
+        events = [
+            CrashEvent(pid=pid, round_no=1, point=CrashPoint.DURING_DATA,
+                       data_policy=Subset.RANDOM)
+            for pid in (2, 9, 17, 25, 31)
+        ] + [
+            CrashEvent(pid=pid, round_no=2, point=CrashPoint.DURING_DATA,
+                       data_policy=Subset.RANDOM)
+            for pid in (1, 12, 30)
+        ] + [CrashEvent(pid=5, round_no=3, point=CrashPoint.AFTER_SEND)]
+        factory = ALGORITHMS.get(algorithm).factory
+        proposals = [(7 * pid) % 41 for pid in range(1, n + 1)]
+
+        def run(batched):
+            engine = ClassicSynchronousEngine(
+                factory(n, t, proposals, {}), CrashSchedule(events), t=t,
+                rng=RandomSource(11), trace=False, batched=batched,
+            )
+            result = engine.run()
+            return result.outcomes, result.rounds_executed, result.stats
+
+        with column_backend(backend):
+            vector = run("vector")
+        assert vector == run(False)
+        assert truncated[:2] == [5, 3], truncated
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_early_flag_carried_only_by_a_truncated_send(backend):
+    """Early-stopping: the EARLY flag reaches p3 only on a crashing
+    sender's truncated send, while p3's own count drops — the flag alone
+    must make it early (the folded full broadcasts carry no flag)."""
+    from repro.baselines.early_stopping import EarlyStoppingConsensus
+    from repro.sync.engine import ClassicSynchronousEngine
+
+    n, t = 6, 4
+    schedule = CrashSchedule([
+        # Round 1: only p2 hears p1, so only p2's count stays at n.
+        CrashEvent(pid=1, round_no=1, point=CrashPoint.DURING_DATA,
+                   data_subset=frozenset({2})),
+        # Round 2: early p2 reaches p3 alone; p4's silence drops p3's count.
+        CrashEvent(pid=2, round_no=2, point=CrashPoint.DURING_DATA,
+                   data_subset=frozenset({3})),
+        CrashEvent(pid=4, round_no=2, point=CrashPoint.BEFORE_SEND),
+    ])
+
+    def run(batched):
+        procs = [
+            EarlyStoppingConsensus(pid, n, 10 * pid, t) for pid in range(1, n + 1)
+        ]
+        return ClassicSynchronousEngine(
+            procs, schedule, t=t, trace=False, batched=batched
+        ).run()
+
+    with column_backend(backend):
+        vector = run("vector")
+    reference = run(False)
+    assert vector.outcomes == reference.outcomes
+    assert vector.stats == reference.stats
+    rounds = reference.decision_rounds
+    assert rounds[3] < rounds[5]  # p3 went early on the flag alone
+
+
+@pytest.mark.parametrize("algorithm", VECTOR_ALGORITHMS)
+def test_send_widths_match_bit_size(monkeypatch, algorithm):
+    """Width contract over the parity grid: each send's ``bits`` equals
+    ``bit_size(payload)``, truncated sends included.  The engine charges
+    accounting from it, so a misreported width would otherwise only show
+    as wrong stats totals — or not at all, where errors cancel."""
+    table_cls = _table_class(algorithm)
+    real = table_cls.compute_phase_vector
+    checked = {"sends": 0, "truncated": 0}
+
+    def spy(self, round_no, receivers, receiver_order, sends, crash_free):
+        for sender, dests, payload, _control, bits in sends:
+            assert bits == bit_size(payload), (algorithm, round_no, sender)
+            checked["sends"] += 1
+            checked["truncated"] += type(dests) is frozenset
+        return real(self, round_no, receivers, receiver_order, sends, crash_free)
+
+    monkeypatch.setattr(table_cls, "compute_phase_vector", spy)
+    for name, adversary in _cells():
+        if name != algorithm:
+            continue
+        for seed in (0, 1, 2, 7, 13):
+            execute(
+                Scenario(algorithm=algorithm, n=6, f=2, adversary=adversary,
+                         seed=seed),
+                batched="vector",
+            )
+    assert checked["sends"] > 0
+    assert checked["truncated"] > 0  # crash truncation keeps the width
+
+
+def test_width_contract_covers_every_registered_table():
+    """The width grid above reaches every registered vector table."""
+    registered = {factory.__self__ for factory in _VECTOR_TABLES.values()}
+    assert {_table_class(algorithm) for algorithm in VECTOR_ALGORITHMS} == registered
