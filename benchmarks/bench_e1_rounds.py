@@ -7,7 +7,7 @@ early-stopping min(f+2, t+1)) and times the underlying single-run kernel.
 from __future__ import annotations
 
 from repro.harness.experiments import e1_rounds
-from repro.harness.runner import RunConfig, run_once
+from repro.scenarios import Scenario, execute
 
 
 def test_e1_report(benchmark, report):
@@ -23,18 +23,21 @@ def test_e1_report(benchmark, report):
 
 
 def test_e1_kernel_crw_worst_case(benchmark):
-    config = RunConfig("crw", 16, 15, 7, "coordinator-killer", seed=1)
-    result = benchmark(run_once, config)
-    assert result.last_decision_round == 8
+    scenario = Scenario(algorithm="crw", n=16, t=15, f=7,
+                        adversary="coordinator-killer", seed=1)
+    record = benchmark(execute, scenario)
+    assert record.last_decision_round == 8
 
 
 def test_e1_kernel_early_stopping(benchmark):
-    config = RunConfig("early-stopping", 16, 15, 7, "coordinator-killer", seed=1)
-    result = benchmark(run_once, config)
-    assert result.last_decision_round <= 9
+    scenario = Scenario(algorithm="early-stopping", n=16, t=15, f=7,
+                        adversary="coordinator-killer", seed=1)
+    record = benchmark(execute, scenario)
+    assert record.last_decision_round <= 9
 
 
 def test_e1_kernel_floodset(benchmark):
-    config = RunConfig("floodset", 16, 7, 3, "random-classic", seed=1)
-    result = benchmark(run_once, config)
-    assert result.last_decision_round == 8
+    scenario = Scenario(algorithm="floodset", n=16, t=7, f=3,
+                        adversary="random-classic", seed=1)
+    record = benchmark(execute, scenario)
+    assert record.last_decision_round == 8

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from repro.harness.experiments import e2_bits
-from repro.harness.runner import RunConfig, run_once
+from repro.scenarios import Scenario, execute
 
 
 def test_e2_report(benchmark, report):
@@ -18,14 +18,16 @@ def test_e2_report(benchmark, report):
 
 
 def test_e2_kernel_best_case_wide_values(benchmark):
-    config = RunConfig("crw", 32, 31, 0, "none", seed=0, value_bits=1024)
-    result = benchmark(run_once, config)
+    scenario = Scenario(algorithm="crw", n=32, t=31, workload="sized",
+                        workload_params={"bits": 1024})
+    record = benchmark(execute, scenario)
     # (n-1)(|v|+1) exactly.
-    assert result.stats.bits_sent == 31 * 1025
+    assert record.bits_sent == 31 * 1025
 
 
 def test_e2_kernel_worst_case_traffic(benchmark):
-    config = RunConfig("crw", 32, 31, 31, "max-traffic", seed=0, value_bits=64)
-    result = benchmark(run_once, config)
+    scenario = Scenario(algorithm="crw", n=32, t=31, f=31, adversary="max-traffic",
+                        workload="sized", workload_params={"bits": 64})
+    record = benchmark(execute, scenario)
     bound = sum(32 - r for r in range(1, 33)) * 65
-    assert result.stats.bits_sent <= bound
+    assert record.bits_sent <= bound

@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 from repro.harness.experiments import e8_scaling
-from repro.harness.runner import RunConfig, run_once
 from repro.rsm.log import ReplicatedLog
 from repro.rsm.machine import Command, KVStore
+from repro.scenarios import Scenario, execute
 from repro.util.rng import RandomSource
 
 
@@ -19,15 +19,15 @@ def test_e8_report(benchmark, report):
 
 
 def test_e8_kernel_crw_n64(benchmark):
-    config = RunConfig("crw", 64, 63, 0, "none", seed=0)
-    result = benchmark(run_once, config)
-    assert result.rounds_executed == 1
+    record = benchmark(execute, Scenario(algorithm="crw", n=64, t=63))
+    assert record.rounds_executed == 1
 
 
 def test_e8_kernel_crw_n128_cascade(benchmark):
-    config = RunConfig("crw", 128, 127, 16, "coordinator-killer", seed=0)
-    result = benchmark(run_once, config)
-    assert result.last_decision_round == 17
+    scenario = Scenario(algorithm="crw", n=128, t=127, f=16,
+                        adversary="coordinator-killer")
+    record = benchmark(execute, scenario)
+    assert record.last_decision_round == 17
 
 
 def test_e8_kernel_rsm_slots(benchmark):

@@ -1,13 +1,13 @@
 #!/usr/bin/env python3
-"""Scenario sweeps: one grid, four execution stacks, a process pool.
+"""Scenario sweeps: one grid, four execution stacks, a sharded fabric.
 
 Demonstrates the scenario layer end to end:
 
 1. a cross-backend tour — the *same* declarative shape runs the paper's
    algorithm (extended model), a classic baseline, an asynchronous ◇S
    algorithm, and fast-failure-detector consensus;
-2. a seed-dense grid swept under the multiprocessing executor with JSONL
-   persistence, then resumed (zero cells re-executed).
+2. a seed-dense grid swept over the sharded work-stealing fabric into a
+   shard directory, then resumed (zero cells re-executed).
 
     python examples/scenario_sweep.py
 """
@@ -50,13 +50,15 @@ def sweep() -> None:
         adversaries=("staggered",),
         seeds=7,
     )
-    print(f"== {len(cells)}-cell grid, process pool, JSONL resume ==\n")
+    print(f"== {len(cells)}-cell grid, sharded fabric, shard-directory resume ==\n")
     with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "sweep.jsonl")
-        runner = SweepRunner(cells, executor="process", chunk_size=8, jsonl_path=path)
+        path = os.path.join(tmp, "shards")
+        runner = SweepRunner(cells, executor="sharded", processes=2, chunk_size=8,
+                             jsonl_path=path)
         records = runner.run()
         print(f"  first pass : {runner.executed} executed, {runner.resumed} resumed")
-        resumed = SweepRunner(cells, executor="process", chunk_size=8, jsonl_path=path)
+        resumed = SweepRunner(cells, executor="sharded", processes=2, chunk_size=8,
+                              jsonl_path=path)
         resumed.run()
         print(f"  second pass: {resumed.executed} executed, {resumed.resumed} resumed\n")
 

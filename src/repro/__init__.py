@@ -35,7 +35,6 @@ from repro.asyncsim import (
 )
 from repro.baselines import EarlyStoppingConsensus, FloodSetConsensus
 from repro.ffd import TimedCrash, TimedSpec, run_ffd_consensus
-from repro.harness import ALGORITHMS, RunConfig, run_once, run_sweep
 from repro.lowerbound import (
     ExplorationConfig,
     Explorer,
@@ -105,10 +104,6 @@ __all__ = [
     "TimedCrash",
     "TimedSpec",
     "run_ffd_consensus",
-    "ALGORITHMS",
-    "RunConfig",
-    "run_once",
-    "run_sweep",
     "Scenario",
     "RunRecord",
     "execute",

@@ -51,7 +51,7 @@ collected results).
 The cell wire format is PR 5's :func:`CellDelta
 <repro.scenarios.scenario.scenario_delta>` against one shared base
 scenario, and workers reuse engines through an
-:class:`~repro.scenarios.execute.EngineLease` exactly like the pool
+:class:`~repro.scenarios.execute.EngineLease` exactly like the serial
 executor; the parity discipline carries over verbatim.
 """
 

@@ -1,12 +1,14 @@
 """Per-shard columnar JSONL files: append, stream-read, torn-tail healing.
 
 Each shard owns one JSONL file in the sweep directory, written by
-whichever worker executes the shard.  The layout is the columnar one
-from PR 5 — one ``{"batch": <RecordBatch payload>}`` line per flushed
-chunk — and the reader also accepts the legacy ``{"record": <row>}``
-layout, so hand-migrated files keep working.
+whichever worker executes the shard; the serial executor's single sweep
+file uses the same format and the same functions.  The layout is
+columnar — one ``{"batch": <RecordBatch payload>}`` line per flushed
+chunk — and the reader also accepts the retired writer's
+one-record-per-line ``{"record": <row>}`` layout, so old files still
+resume.
 
-Durability discipline (identical to the single-file sweep writer):
+Durability discipline:
 
 * appends are buffered per chunk and flushed once per chunk, so a kill
   loses at most the in-flight chunk;

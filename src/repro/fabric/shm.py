@@ -1,6 +1,6 @@
 """Shared-memory slabs for the numeric RecordBatch columns.
 
-PR 5 profiling put the pool executor's ceiling at pickling result
+Profiling put the ceiling of a process-pool sweep at pickling result
 batches back through the ``multiprocessing`` pipe.  The numeric columns
 of a :class:`~repro.scenarios.record.RecordBatch` — per-cell counters
 (``f_actual``, ``rounds_executed``, ``last_decision_round``,

@@ -1,22 +1,8 @@
-"""Experiment harness: runners, experiment definitions, reports, CLI."""
+"""Experiment harness: experiment definitions, reports, perf gate, CLI."""
 
 from repro.harness.experiments import ALL_EXPERIMENTS, ExperimentResult
-from repro.harness.runner import (
-    ALGORITHMS,
-    AlgorithmSpec,
-    RunConfig,
-    SweepRow,
-    run_once,
-    run_sweep,
-)
 
 __all__ = [
     "ALL_EXPERIMENTS",
     "ExperimentResult",
-    "ALGORITHMS",
-    "AlgorithmSpec",
-    "RunConfig",
-    "SweepRow",
-    "run_once",
-    "run_sweep",
 ]

@@ -51,12 +51,12 @@ Kernels (via the scenario layer):
   pinned: PR 9's whole-column stepping kernel (numpy state columns when
   numpy is importable, stdlib ``array`` otherwise — byte-identical
   records either way, see ``tests/sync/test_vector_parity.py``);
-* ``sweep_*``         — ~1k-cell grid over the process-pool executor with
-  JSONL persistence (``--quick`` shrinks it for CI);
-* ``shard_sweep_*``   — the same grids over the sharded work-stealing
-  fabric (:mod:`repro.fabric`): manifest planning, shard workers with
-  shared-memory scalar return, per-shard columnar files.  Gated like
-  the pool kernels (same-core-count hosts only);
+* ``sweep_serial_*c`` — the ``--quick`` grid (~100 cells) through the
+  serial executor with JSONL persistence;
+* ``shard_sweep_*``   — the quick grid, and with a full run the ~1k-cell
+  grid, over the sharded work-stealing fabric (:mod:`repro.fabric`):
+  manifest planning, shard workers with shared-memory scalar return,
+  per-shard columnar files.  Gated on same-core-count hosts only;
 * ``vec_sweep_*``     — the full grid through the *serial* executor:
   every cell steps through the auto-detected vector tables and the
   engine lease, so this is the single-core ceiling of the vectorized
@@ -224,8 +224,8 @@ def _kernel_sweep(quick: bool, executor: str) -> None:
     cells = _sweep_cells(quick)
     with tempfile.TemporaryDirectory() as tmp:
         # The sharded executor's jsonl_path is a shard *directory*; the
-        # others persist to a single file.  Both sides of the pool-vs-
-        # sharded comparison pay for full JSONL persistence.
+        # serial one persists to a single file.  Both pay for full
+        # JSONL persistence.
         path = os.path.join(tmp, "shards" if executor == "sharded" else "sweep.jsonl")
         runner = SweepRunner(cells, executor=executor, jsonl_path=path)
         records = runner.run()
@@ -279,13 +279,10 @@ def measure(quick: bool) -> dict:
             _kernel_service_p99_latency, repeats=5, min_seconds=0.3
         ),
         # The serial sweep is core-count independent, so it gates across
-        # hosts; the pool sweep's score scales with parallelism and is
+        # hosts; the sharded sweep's score scales with parallelism and is
         # gated only on a matching cpu_count (see compare()).
         f"sweep_serial_{quick_cells}c": _best_of(
             lambda: _kernel_sweep(True, "serial"), repeats=3, min_seconds=0.5
-        ),
-        f"sweep_pool_{quick_cells}c": _best_of(
-            lambda: _kernel_sweep(True, "process"), repeats=3, min_seconds=0.5
         ),
         f"shard_sweep_{quick_cells}c": _best_of(
             lambda: _kernel_sweep(True, "sharded"), repeats=3, min_seconds=0.5
@@ -293,9 +290,6 @@ def measure(quick: bool) -> dict:
     }
     if not quick:
         full_cells = len(_sweep_cells(False))
-        kernels[f"sweep_pool_{full_cells}c"] = _best_of(
-            lambda: _kernel_sweep(False, "process"), repeats=2, min_seconds=1.0
-        )
         kernels[f"shard_sweep_{full_cells}c"] = _best_of(
             lambda: _kernel_sweep(False, "sharded"), repeats=2, min_seconds=1.0
         )
@@ -320,9 +314,10 @@ def compare(current: dict, baseline: dict, tolerance: float) -> list[str]:
     Kernels are matched by name on their normalized score; kernels present
     on only one side are reported informationally but do not fail the
     gate (grid sizes legitimately differ between --quick and full runs).
-    ``sweep_pool_*`` and ``shard_sweep_*`` kernels additionally gate only
-    when both sides ran on the same core count — a multi-process sweep's
-    score scales with parallelism, which calibration cannot cancel out.
+    ``shard_sweep_*`` kernels additionally gate only when both sides ran
+    on the same core count — a multi-process sweep's score scales with
+    parallelism, which calibration cannot cancel out.  Kernels only the
+    baseline has (e.g. the retired ``sweep_pool_*``) are ignored.
     """
     failures: list[str] = []
     base_kernels = baseline.get("kernels", {})
@@ -332,7 +327,7 @@ def compare(current: dict, baseline: dict, tolerance: float) -> list[str]:
         if base is None:
             print(f"  [new] {name}: score {entry['score']:.1f} (no baseline)")
             continue
-        multiproc = name.startswith(("sweep_pool_", "shard_sweep_"))
+        multiproc = name.startswith("shard_sweep_")
         if multiproc and not same_host_shape:
             print(
                 f"  [info] {name}: score {entry['score']:.1f} vs baseline "

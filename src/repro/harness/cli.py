@@ -2,10 +2,10 @@
 
 Subcommands
 -----------
-``run``             one consensus run (legacy flags), printing outcome and stats
+``run``             one consensus run (flat flags), printing outcome and stats
 ``scenario run``    one declarative scenario (any registered algorithm/backend)
-``scenario sweep``  a scenario grid: serial, process-pool, or sharded
-                    (work-stealing fabric), JSONL persistence/resume
+``scenario sweep``  a scenario grid: serial (one JSONL file) or sharded
+                    (work-stealing fabric, shard directory), with resume
 ``atlas summarize`` merge-on-read tradeoff tables over a sharded sweep
                     directory (streaming; ``--out`` writes the artifact)
 ``bench``           perf-gate kernels: measure / ``--check-against`` /
@@ -75,20 +75,22 @@ def _cmd_list(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    from repro.harness.runner import RunConfig
     from repro.scenarios.execute import execute
+    from repro.scenarios.scenario import Scenario
     from repro.sync.spec import check_consensus
 
-    config = RunConfig(
+    sized = args.value_bits is not None
+    scenario = Scenario(
         algorithm=args.algorithm,
         n=args.n,
         t=args.t,  # None -> the algorithm's own rule, applied by execute()
         f=args.f,
         adversary=args.adversary,
+        workload="sized" if sized else "distinct-ints",
+        workload_params={"bits": args.value_bits} if sized else {},
         seed=args.seed,
-        value_bits=args.value_bits,
     )
-    record = execute(config.to_scenario(), trace=args.trace)
+    record = execute(scenario, trace=args.trace)
     result = record.raw
     # The record verdict already uses each algorithm's registered spec
     # (e.g. the vector checker for interactive consistency); crw keeps the
@@ -221,7 +223,6 @@ def _cmd_scenario_sweep(args: argparse.Namespace) -> int:
         processes=args.jobs,
         chunk_size=args.chunk_size,
         jsonl_path=args.jsonl,
-        writer=args.writer,
         shards=args.shards,
         faults=faults,
         liveness_timeout=args.liveness_timeout,
@@ -483,14 +484,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_list.add_argument("--verbose", "-v", action="store_true")
     p_list.set_defaults(func=_cmd_list)
 
-    p_run = sub.add_parser("run", help="run one consensus instance (legacy flags)")
+    p_run = sub.add_parser("run", help="run one consensus instance (flat flags)")
     p_run.add_argument("--algorithm", "-a", default="crw")
     p_run.add_argument("--n", type=int, default=8)
     p_run.add_argument("--t", type=int, default=None)
     p_run.add_argument("--f", type=int, default=0)
     p_run.add_argument("--adversary", default="coordinator-killer")
     p_run.add_argument("--seed", type=int, default=0)
-    p_run.add_argument("--value-bits", type=int, default=None)
+    p_run.add_argument("--value-bits", type=int, default=None,
+                       help="propose |v|-bit values (the 'sized' workload)")
     p_run.add_argument("--trace", action="store_true")
     p_run.add_argument("--json", action="store_true", help="machine-readable output")
     p_run.set_defaults(func=_cmd_run)
@@ -528,23 +530,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_sw.add_argument("--adversary", action="append", default=None,
                       help="adversary name(s), repeatable or comma-separated")
     p_sw.add_argument("--seeds", type=int, default=10)
-    p_sw.add_argument("--executor", choices=("serial", "process", "sharded"),
+    p_sw.add_argument("--executor", choices=("serial", "sharded"),
                       default="serial")
     p_sw.add_argument("--jobs", type=int, default=None,
-                      help="process-pool / sharded worker count")
+                      help="sharded executor: worker count")
     p_sw.add_argument("--chunk-size", type=int, default=None,
-                      help="cells per worker task (default: auto-tuned)")
+                      help="cells per flush (default: 32 serial, auto-tuned "
+                      "per shard)")
     p_sw.add_argument("--shards", type=int, default=None,
-                      help="shard count for a fresh sharded sweep "
+                      help="sharded executor: shard count for a fresh sweep "
                       "(default: ~4 per worker; a resumed directory's "
                       "manifest wins)")
     p_sw.add_argument("--jsonl", default=None,
-                      help="JSONL persistence/resume file (sharded executor: "
-                      "a shard *directory* — manifest + per-shard files)")
-    p_sw.add_argument("--writer", choices=("columnar", "legacy"), default="columnar",
-                      help="JSONL layout: one batch line per chunk (columnar, "
-                      "default) or one record line per cell (legacy); resume "
-                      "reads both")
+                      help="persistence/resume path: a JSONL file (serial) "
+                      "or a shard *directory* — manifest + per-shard files "
+                      "(sharded)")
     p_sw.add_argument("--chaos", default=None, metavar="SPEC",
                       help="sharded executor: inject deterministic faults, "
                       "e.g. 'kill:worker=0,after=1;hang:shard=2,worker=1;"

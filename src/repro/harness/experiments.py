@@ -7,9 +7,9 @@ table(s) the claim predicts plus machine-checkable findings.  The
 Markdown section.
 
 Runs are driven through the unified scenario API
-(:mod:`repro.scenarios`), either directly (E5, E6) or via the legacy
-:mod:`repro.harness.runner` shims (E1, E2, E7, E8).  See ``DESIGN.md``
-§4 for the experiment index.
+(:func:`repro.scenarios.execute` on a :class:`~repro.scenarios.Scenario`;
+E1 aggregates seeds with :func:`~repro.scenarios.summarize_records`).
+See ``DESIGN.md`` §4 for the experiment index.
 """
 
 from __future__ import annotations
@@ -20,9 +20,10 @@ from typing import Any
 
 from repro.core.crw import CRWConsensus
 from repro.core.variants import IncreasingCommitCRW, TruncatedCRW
-from repro.harness.runner import RunConfig, run_once, run_sweep
 from repro.scenarios.execute import execute
+from repro.scenarios.registry import ALGORITHMS
 from repro.scenarios.scenario import Scenario
+from repro.scenarios.sweep import CellSummary, summarize_records
 from repro.lowerbound.certificates import (
     certify_f_plus_one,
     certify_no_run_exceeds,
@@ -79,6 +80,17 @@ class ExperimentResult:
 # ---------------------------------------------------------------------------
 
 
+def _seeds_summary(
+    algorithm: str, n: int, t: int, f: int, adversary: str, seeds: int
+) -> CellSummary:
+    """One (algorithm, n, t, f, adversary) cell aggregated over ``seeds``."""
+    cell = Scenario(algorithm=algorithm, n=n, t=t, f=f, adversary=adversary)
+    (row,) = summarize_records(
+        execute(cell.with_(seed=seed)) for seed in range(seeds)
+    )
+    return row
+
+
 def e1_rounds(
     n_values: tuple[int, ...] = (4, 8, 16),
     seeds: int = 10,
@@ -96,10 +108,11 @@ def e1_rounds(
         t = n - 1
         for f in sorted({0, 1, t // 2, t}):
             for algorithm in ("crw", "early-stopping", "floodset"):
-                row = run_sweep(algorithm, n, t, f, adversary, seeds=seeds)
+                row = _seeds_summary(algorithm, n, t, f, adversary, seeds)
+                bound = ALGORITHMS.get(algorithm).round_bound(f, t)
                 all_ok = all_ok and row.spec_ok
                 if algorithm == "crw":
-                    tight = tight and row.max_last_round == row.bound
+                    tight = tight and row.max_last_round == bound
                 table.add_row(
                     algorithm,
                     n,
@@ -107,7 +120,7 @@ def e1_rounds(
                     f,
                     row.mean_last_round,
                     row.max_last_round,
-                    row.bound,
+                    bound,
                     "ok" if row.spec_ok else "VIOLATED",
                 )
     # The benign pattern: f crashes that never touch a coordinator.
@@ -118,7 +131,7 @@ def e1_rounds(
     one_round = True
     for n in n_values:
         for f in (1, 2, 3):
-            row = run_sweep("crw", n, n - 1, f, "staggered", seeds=seeds)
+            row = _seeds_summary("crw", n, n - 1, f, "staggered", seeds)
             one_round = one_round and row.max_last_round == 1
             benign.add_row(n, f, row.max_last_round)
     # Decision skew: Figure 1 is early-deciding, not simultaneous — the
@@ -195,36 +208,32 @@ def e2_bits(
     worst_within = True
     for n in n_values:
         for bits in bit_widths:
+            sized = Scenario(algorithm="crw", n=n, t=n - 1, workload="sized",
+                             workload_params={"bits": bits})
             # Best case: failure-free, single round.
-            result = run_once(
-                RunConfig("crw", n, n - 1, 0, "none", seed=0, value_bits=bits)
-            )
+            record = execute(sized)
             m_bound, b_bound = _e2_best_bounds(n, bits)
             best_exact = best_exact and (
-                result.stats.messages_sent == m_bound
-                and result.stats.bits_sent == b_bound
+                record.messages_sent == m_bound and record.bits_sent == b_bound
             )
             table.add_row(
                 "best", n, n - 1, bits,
-                result.stats.messages_sent, m_bound,
-                result.stats.bits_sent, b_bound,
-                result.stats.bits_sent / b_bound,
+                record.messages_sent, m_bound,
+                record.bits_sent, b_bound,
+                record.bits_sent / b_bound,
             )
             # Worst case: max-traffic cascade with f = t.
             t = n - 1
-            result = run_once(
-                RunConfig("crw", n, t, t, "max-traffic", seed=0, value_bits=bits)
-            )
+            record = execute(sized.with_(f=t, adversary="max-traffic"))
             m_bound, b_bound = _e2_worst_bounds(n, t, bits)
             worst_within = worst_within and (
-                result.stats.messages_sent <= m_bound
-                and result.stats.bits_sent <= b_bound
+                record.messages_sent <= m_bound and record.bits_sent <= b_bound
             )
             table.add_row(
                 "worst", n, t, bits,
-                result.stats.messages_sent, m_bound,
-                result.stats.bits_sent, b_bound,
-                result.stats.bits_sent / b_bound,
+                record.messages_sent, m_bound,
+                record.bits_sent, b_bound,
+                record.bits_sent / b_bound,
             )
     return ExperimentResult(
         exp_id="E2",
@@ -520,7 +529,8 @@ def e7_simulation(
         for f in f_values:
             rng = RandomSource(7)
             schedule = make_adversary("coordinator-killer", f).schedule(n, n - 1, rng)
-            native = run_once(RunConfig("crw", n, n - 1, f, "coordinator-killer", 7))
+            native = execute(Scenario(algorithm="crw", n=n, t=n - 1, f=f,
+                                      adversary="coordinator-killer", seed=7))
             simulated = run_extended_on_classic(
                 lambda n=n: [CRWConsensus(pid, n, 100 + pid) for pid in range(1, n + 1)],
                 schedule,
@@ -566,8 +576,8 @@ def e8_scaling(
         start = time.perf_counter()
         msgs = 0
         for seed in range(reps):
-            result = run_once(RunConfig("crw", n, n - 1, 0, "none", seed))
-            msgs = result.stats.messages_sent
+            record = execute(Scenario(algorithm="crw", n=n, t=n - 1, seed=seed))
+            msgs = record.messages_sent
         elapsed = time.perf_counter() - start
         # RSM: commit `slots` slots, crash-free.
         log = ReplicatedLog(n, KVStore, t=n - 1, rng=RandomSource(1))

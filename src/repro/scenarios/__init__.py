@@ -12,7 +12,7 @@ Any run expressible across ``sync/`` (extended + classic engines),
 detector) is a :class:`Scenario`; :func:`execute` resolves its names
 against the registries and returns a backend-independent
 :class:`RunRecord`.  :class:`SweepRunner` runs grids of scenarios
-serially or over a process pool with JSONL resume.  (The ``simulation/``
+serially or over the sharded :mod:`repro.fabric` executor, with resume.  (The ``simulation/``
 cross-model *embeddings* remain direct calls —
 ``run_classic_on_extended`` / ``run_extended_on_classic`` — though note
 the classic backend here already *is* the extended engine with the

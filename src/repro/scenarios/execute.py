@@ -7,11 +7,11 @@ algorithm's backend, and reduces whatever the backend returns to the
 normalized :class:`~repro.scenarios.record.RunRecord`.
 
 Determinism contract: the labelled RNG tree makes a record a pure
-function of its scenario, and — because child streams depend only on
-``(seed, label)``, never on draw order — the synchronous path here is
-**byte-identical** to the legacy ``repro.harness.runner.run_once`` for
-every ``(algorithm, adversary, seed)`` it could express.  The parity test
-in ``tests/scenarios/test_execute.py`` pins that equivalence.
+function of its scenario — child streams depend only on ``(seed,
+label)``, never on draw order — so a cell's record is byte-identical
+whichever executor, stepping mode or engine lease produced it (pinned by
+``tests/scenarios/test_columnar_parity.py`` and the stepping-mode parity
+grids under ``tests/sync/``).
 """
 
 from __future__ import annotations

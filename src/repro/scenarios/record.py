@@ -21,8 +21,8 @@ parallel columns.  A batch round-trips through the per-record row form
 <repro.scenarios.scenario.scenario_delta>` wire format — encodes to one
 compact payload per chunk (``to_payload``/``from_payload``): one shared
 base-scenario dict plus per-cell deltas instead of a full scenario dict
-per record.  That payload is both the process-pool wire format and the
-columnar JSONL line format of :class:`~repro.scenarios.sweep.SweepRunner`.
+per record.  That payload is the JSONL line format of every sweep file
+(:mod:`repro.fabric.shardio`), serial or sharded.
 """
 
 from __future__ import annotations
@@ -108,7 +108,7 @@ class RunRecord:
         payloads in their encoded ``jsonable`` form, ``raw`` dropped — but
         built directly, skipping the dict materialization and the
         ``Scenario.from_dict`` revalidation.  Sweeps normalize every
-        freshly executed record so serial and pooled runs return
+        freshly executed record so fresh and resumed runs return
         byte-identical results cell for cell.
         """
         return RunRecord(
@@ -197,10 +197,10 @@ _PLAIN_COLUMNS = (
 class RecordBatch:
     """A chunk of normalized records as cell-indexed parallel columns.
 
-    The batch is the bulk currency of the sweep layer: process-pool
-    workers fill one per chunk and ship it back as a single payload, the
-    columnar JSONL writer encodes one per flush, and resume/aggregation
-    read columns instead of grouping record objects.
+    The batch is the bulk currency of the sweep layer: every sweep file
+    line encodes one per flush, shard workers return their numeric
+    columns through shared memory, and resume/aggregation read columns
+    instead of grouping record objects.
 
     Append :meth:`normalized <RunRecord.normalized>` records only —
     columns store decision payloads in their encoded ``jsonable`` form and
@@ -311,7 +311,7 @@ class RecordBatch:
         cell's); every cell is stored as its :func:`CellDelta
         <repro.scenarios.scenario.scenario_delta>` against it.  The dict is
         JSON-ready (``json.dumps`` stringifies the int pid keys of the
-        decision columns) and pickles compactly across a process pool.
+        decision columns) and pickles compactly across a worker pipe.
 
         ``deltas`` short-circuits the per-cell :func:`scenario_delta` pass
         with deltas the caller already holds — the sharded fabric's
@@ -344,7 +344,7 @@ class RecordBatch:
         """Inverse of :meth:`to_payload` (accepts wire and JSON-decoded forms).
 
         Key normalization makes the two sources converge: pid keys arrive
-        as ints off the process-pool wire and as strings out of
+        as ints off a worker pipe and as strings out of
         ``json.loads``; both land as ints in the columns.
         """
         batch = cls()

@@ -1,9 +1,9 @@
 """Unified registries: algorithms, adversaries, and proposal workloads.
 
 This module is the single naming authority the scenario layer resolves
-against.  It absorbs the legacy ``harness.runner.ALGORITHMS`` and
-``workloads.crashes.ADVERSARIES`` tables and extends coverage to every
-algorithm shipped in the repository, across all four execution backends:
+against.  It covers every algorithm shipped in the repository, across
+all four execution backends, and every adversary of
+``workloads.crashes.ADVERSARIES`` plus the timed-model plans:
 
 ========== =========================================================
 backend     algorithms
@@ -21,8 +21,8 @@ Registration is explicit and duplicate-safe: :func:`register_algorithm`,
 :class:`~repro.errors.ConfigurationError` on name collisions unless
 ``replace=True`` is passed, and lookups of unknown names raise with the
 list of available names.  Entries registered at import time here are what
-worker processes of a sweep see; user extensions must be registered at
-module import time to be visible across a process pool.
+the shard workers of a sharded sweep see; user extensions must be
+registered at module import time to be visible in those workers.
 """
 
 from __future__ import annotations

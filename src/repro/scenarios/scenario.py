@@ -12,7 +12,7 @@ separate, direct-call utilities.)
 Scenarios are plain data: they round-trip through JSON (``to_json`` /
 ``from_json``), compare by value, and are safe to pickle across process
 boundaries — which is what lets :class:`repro.scenarios.sweep.SweepRunner`
-fan a grid of them out over a process pool.
+fan a grid of them out over the sharded fabric's worker processes.
 """
 
 from __future__ import annotations
@@ -187,7 +187,7 @@ def scenario_delta(base: Scenario | None, cell: Scenario) -> dict[str, Any]:
     Grid cells differ from a shared base in a handful of fields (typically
     just the seed, sometimes ``f``/``n``/``algorithm``), so shipping one
     base-scenario dict plus per-cell deltas replaces a full scenario dict
-    per cell — both across the process-pool boundary and in the columnar
+    per cell — both across the shard-worker pipes and in the columnar
     JSONL lines.  Field values are compared directly on the dataclass (no
     ``asdict`` materialization), with concrete types respected (see
     :func:`_same_wire_value`); ``base=None`` yields the full dict.

@@ -1,51 +1,31 @@
-"""Grid sweeps over scenarios: pluggable executors + JSONL persistence.
+"""Grid sweeps over scenarios: two executors, one shard-file format.
 
 :class:`SweepRunner` takes any iterable of :class:`Scenario` cells and
 executes them under a chosen executor:
 
-* ``"serial"`` — in-process loop (debuggable, zero overhead);
-* ``"process"`` — a ``multiprocessing`` pool, scenarios chunked so each
-  worker task amortizes pickling over ``chunk_size`` cells.  Workers
-  resolve names against the registries their own import of
-  :mod:`repro.scenarios` built, so custom entries must be registered at
-  module import time.
+* ``"serial"`` — in-process loop (debuggable, zero overhead), persisting
+  to one JSONL file;
 * ``"sharded"`` — the :mod:`repro.fabric` work-stealing executor:
-  ``jsonl_path`` names a shard *directory* (manifest + one columnar
-  JSONL file per shard), results return through shared-memory scalar
-  slabs, and resume is shard-wise off the manifest.  See
+  ``jsonl_path`` names a shard *directory* (manifest + one JSONL file
+  per shard), results return through shared-memory scalar slabs, and
+  resume is shard-wise off the manifest.  See
   :class:`repro.fabric.ShardedSweep`.
 
-The data path is columnar end to end (PR 5).  Two independent knobs keep
-the legacy one-dict-per-cell shapes available for comparison:
+Both executors persist through :mod:`repro.fabric.shardio`: one
+``{"batch": <RecordBatch payload>}`` line per flushed chunk, torn tails
+healed before any append, and a per-cell resume index that also decodes
+the retired one-record-per-line ``{"record": ...}`` layout, so old files
+still resume.  With a ``jsonl_path`` every finished record is persisted,
+and a rerun **resumes**: cells whose canonical scenario key already
+appears in the file are loaded instead of re-run.  Lines that do not
+decode (the torn tail of an interrupted sweep, foreign or incompatible
+JSONL) are skipped, and their cells simply re-run.  Serial writes are
+buffered and flushed once per ``chunk_size`` cells, and at least every
+:attr:`SweepRunner.FLUSH_INTERVAL_S` seconds, so an interrupted sweep
+of slow cells loses little work.
 
-* ``wire`` — how cells cross the process-pool boundary.  ``"delta"``
-  (default) ships one shared base-scenario dict plus compact per-cell
-  :func:`CellDelta <repro.scenarios.scenario.scenario_delta>` dicts and
-  receives one :class:`~repro.scenarios.record.RecordBatch` payload per
-  chunk; ``"dict"`` ships full scenario dicts and receives one record
-  dict per cell.
-* ``writer`` — the JSONL persistence layout.  ``"columnar"`` (default)
-  appends one ``{"batch": ...}`` line per flushed chunk (a single encode
-  pass over the batch payload); ``"legacy"`` appends one
-  ``{"record": ...}`` line per cell.  **Resume reads both layouts
-  regardless of the writer**, so files may mix them across reruns.
-
-With a ``jsonl_path`` every finished record is persisted, and a rerun
-**resumes**: cells whose canonical scenario key already appears in the
-file are loaded instead of re-run.  The resume index is built without
-re-instantiating a :class:`Scenario` per line — the canonical key of a
-stored scenario dict is just its sorted-key JSON dump, and malformed or
-foreign lines produce keys no pending cell can match (torn final lines
-from an interrupted sweep fail JSON decoding and are skipped outright).
-Writes are buffered and flushed once per completed chunk rather than per
-record; interrupting a sweep therefore loses at most the in-flight
-chunk — the same durability unit the process pool already had.  Serial
-sweeps additionally flush every :attr:`SweepRunner.FLUSH_INTERVAL_S`
-seconds, so slow cells keep near-per-record durability.
-
-Results come back in input order regardless of executor, wire format, and
-writer, and are byte-identical across all of them (pinned by
-``tests/scenarios/test_sweep.py`` and
+Duplicate cells run once.  Results come back in input order and are
+byte-identical across executors (``tests/scenarios/test_sweep.py``,
 ``tests/scenarios/test_columnar_parity.py``).
 """
 
@@ -56,13 +36,13 @@ import os
 import time
 import warnings
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from repro.errors import ConfigurationError
 from repro.scenarios.execute import EngineLease, execute
 from repro.scenarios.record import RecordBatch, RunRecord
 from repro.scenarios.registry import ADVERSARIES, ALGORITHMS
-from repro.scenarios.scenario import Scenario, scenario_delta, scenario_key
+from repro.scenarios.scenario import Scenario, scenario_key
 
 __all__ = [
     "SweepRunner",
@@ -158,94 +138,6 @@ def expand_grid(
     return cells
 
 
-# -- process-pool workers (module level: must be picklable) -----------------
-
-
-def _run_cell(
-    scenario_dict: dict[str, Any], lease: EngineLease | None = None
-) -> dict[str, Any]:
-    # trace=False pins sweep cells to the engines' allocation-free fast
-    # path; per-event traces of thousands of cells would be pure overhead
-    # (records are byte-identical either way — see the fast-path parity
-    # grid in tests/sync/test_fastpath_parity.py).
-    record = execute(Scenario.from_dict(scenario_dict), trace=False, lease=lease)
-    return record.to_dict()
-
-
-def _run_chunk(task: tuple[int, list[dict[str, Any]]]) -> tuple[int, list[dict[str, Any]]]:
-    # One engine lease per chunk: seed-dense grids re-run the same
-    # configuration cell after cell, so every cell past a chunk's first
-    # resets a cached engine instead of rebuilding factories and wiring.
-    # Records are identical with or without the lease (pinned by
-    # tests/scenarios/test_engine_reuse.py); worker-local, never pickled.
-    # The chunk index rides along so the parent can map results back to
-    # the scenarios (and keys) it dispatched without re-parsing them.
-    idx, chunk = task
-    lease = EngineLease()
-    return idx, [_run_cell(cell, lease) for cell in chunk]
-
-
-#: Per-worker shared base scenario for the delta wire, set once by the
-#: pool initializer instead of riding every chunk task through the pipe.
-_POOL_BASE: Scenario | None = None
-_POOL_BASE_DICT: dict[str, Any] | None = None
-
-
-def _pool_init_base(base_dict: dict[str, Any]) -> None:
-    """Pool initializer: materialize the sweep-wide base scenario once.
-
-    Every delta-wire chunk task used to carry (and re-pickle) the full
-    base-scenario dict; hoisting it here means only the compact per-cell
-    deltas cross the pipe per task.
-    """
-    global _POOL_BASE, _POOL_BASE_DICT
-    _POOL_BASE_DICT = base_dict
-    _POOL_BASE = Scenario.from_dict(base_dict)
-
-
-def _run_chunk_delta(
-    task: tuple[int, list[dict[str, Any]]],
-) -> tuple[int, dict[str, Any]]:
-    """Delta-wire worker: CellDeltas in, one batch payload out.
-
-    The shared base scenario was materialized once per worker by
-    :func:`_pool_init_base`; each cell is its ``with_`` variation, so no
-    per-cell ``Scenario.from_dict`` validation pass runs in the worker,
-    and the whole chunk's records return as one columnar
-    :class:`~repro.scenarios.record.RecordBatch` payload instead of one
-    dict per cell.  The payload's ``base`` entry is stripped — the
-    parent knows it and re-attaches it, so it never crosses the result
-    pipe either.
-    """
-    idx, deltas = task
-    base = _POOL_BASE
-    assert base is not None, "pool initialized without _pool_init_base"
-    lease = EngineLease()
-    batch = RecordBatch()
-    for delta in deltas:
-        cell = base.with_(**delta) if delta else base
-        batch.append(execute(cell, trace=False, lease=lease).normalized())
-    payload = batch.to_payload(_POOL_BASE_DICT)
-    del payload["base"]
-    return idx, payload
-
-
-def _dict_key(scenario_dict: Any) -> str | None:
-    """Canonical resume key of a stored scenario dict, or None if unkeyable.
-
-    For any dict that round-tripped through :meth:`Scenario.to_dict` this
-    equals ``scenario_key(Scenario.from_dict(d))`` — a sorted-key JSON
-    dump — without paying a Scenario construction per line.  Foreign or
-    malformed dicts either fail the dump (None) or produce a key that no
-    pending cell can match, which re-runs the cell exactly like the old
-    validating loader did.
-    """
-    try:
-        return json.dumps(scenario_dict, sort_keys=True)
-    except (TypeError, ValueError):
-        return None
-
-
 class SweepRunner:
     """Execute a list of scenario cells with persistence and resume.
 
@@ -254,39 +146,24 @@ class SweepRunner:
     scenarios:
         The cells to run (ordering is preserved in the results).
     executor:
-        ``"serial"``, ``"process"``, or ``"sharded"`` (the
-        :mod:`repro.fabric` work-stealing executor; ``jsonl_path`` then
-        names a shard *directory*, and ``writer`` must stay columnar).
-    processes:
-        Pool/worker count for the process and sharded executors
-        (default: ``os.cpu_count()``, capped at the number of
-        chunks/shards).
-    shards:
-        Shard count for a fresh sharded plan (default: ~4 per worker);
-        an existing shard directory's manifest always wins on resume.
+        ``"serial"`` or ``"sharded"`` (the :mod:`repro.fabric`
+        work-stealing executor; ``jsonl_path`` then names a shard
+        *directory*).
     chunk_size:
-        Cells per worker task; seed-dense grids amortize pickling and
-        registry warm-up over each chunk.  ``None`` (the default) sizes
-        chunks automatically: large enough to amortize IPC, small enough
-        to keep every worker busy (~4 chunks per worker).
+        Cells per flush (serial; default 32) or per shard-worker flush
+        (sharded; default auto-sized by the fabric).
     jsonl_path:
-        Append-mode persistence file; pre-existing lines are treated as
-        completed cells (resume).
-    writer:
-        JSONL layout: ``"columnar"`` (default, one batch line per flush)
-        or ``"legacy"`` (one record line per cell).  Resume reads both.
-    wire:
-        Process-pool cell format: ``"delta"`` (default, base + CellDeltas
-        out / batch payload back) or ``"dict"`` (full scenario dicts out /
-        record dicts back).  Serial sweeps never serialize cells at all.
-    faults, liveness_timeout, max_respawns, max_shard_retries, retry_backoff_s:
-        Sharded-executor supervision knobs, passed through to
-        :class:`repro.fabric.ShardedSweep` (fault injection, hung-worker
-        detection, respawn budget, retry/quarantine policy).  ``None``
-        keeps the fabric's defaults; setting any of them with another
-        executor is an error.  A sweep that quarantined poison cells
-        returns ``None`` at their positions (see
-        :attr:`quarantined`).
+        Serial: an append-mode JSONL file.  Sharded: a shard directory.
+        Records already persisted there are treated as completed cells
+        (resume).
+    processes, shards, faults, liveness_timeout, max_respawns, max_shard_retries, retry_backoff_s:
+        Fabric options, passed through to
+        :class:`repro.fabric.ShardedSweep` (worker count, shard count for
+        a fresh plan, fault injection, hung-worker detection, respawn
+        budget, retry/quarantine policy).  ``None`` keeps the fabric's
+        defaults; setting any of them with the serial executor is an
+        error.  A sweep that quarantined poison cells returns ``None`` at
+        their positions (see :attr:`quarantined`).
     """
 
     #: Serial executor: flush the JSONL buffer at least this often even
@@ -302,8 +179,6 @@ class SweepRunner:
         processes: int | None = None,
         chunk_size: int | None = None,
         jsonl_path: str | os.PathLike[str] | None = None,
-        writer: str = "columnar",
-        wire: str = "delta",
         shards: int | None = None,
         faults: Any | None = None,
         liveness_timeout: float | None = None,
@@ -312,54 +187,35 @@ class SweepRunner:
         retry_backoff_s: float | None = None,
     ) -> None:
         self.scenarios = list(scenarios)
-        if executor not in ("serial", "process", "sharded"):
+        if executor not in ("serial", "sharded"):
             raise ConfigurationError(
-                f"unknown executor {executor!r}; available: serial, process, "
-                f"sharded"
-            )
-        if writer not in ("columnar", "legacy"):
-            raise ConfigurationError(
-                f"unknown writer {writer!r}; available: columnar, legacy"
-            )
-        if executor == "sharded" and writer != "columnar":
-            raise ConfigurationError(
-                "the sharded executor writes columnar shard files; "
-                "writer='legacy' would be silently ignored"
-            )
-        if wire not in ("delta", "dict"):
-            raise ConfigurationError(
-                f"unknown wire format {wire!r}; available: delta, dict"
+                f"unknown executor {executor!r}; available: serial, sharded"
             )
         if chunk_size is not None and chunk_size < 1:
             raise ConfigurationError(f"chunk_size must be >= 1, got {chunk_size}")
         if processes is not None and processes < 1:
             raise ConfigurationError(f"processes must be >= 1, got {processes}")
-        supervision = {
+        fabric = {
+            "processes": processes,
+            "shards": shards,
             "faults": faults,
             "liveness_timeout": liveness_timeout,
             "max_respawns": max_respawns,
             "max_shard_retries": max_shard_retries,
             "retry_backoff_s": retry_backoff_s,
         }
-        set_knobs = [name for name, value in supervision.items() if value is not None]
-        if set_knobs and executor != "sharded":
+        #: The fabric options actually set (None keeps the fabric's own
+        #: defaults), forwarded verbatim to ShardedSweep.
+        self._fabric_options = {k: v for k, v in fabric.items() if v is not None}
+        if self._fabric_options and executor != "sharded":
             raise ConfigurationError(
-                f"{', '.join(set_knobs)} require(s) the sharded executor "
-                f"(supervision lives in the fabric dispatcher), got "
-                f"executor={executor!r}"
+                f"{', '.join(self._fabric_options)} require(s) the sharded "
+                f"executor (workers, shards and supervision live in the "
+                f"fabric dispatcher), got executor={executor!r}"
             )
-        self.faults = faults
-        self.liveness_timeout = liveness_timeout
-        self.max_respawns = max_respawns
-        self.max_shard_retries = max_shard_retries
-        self.retry_backoff_s = retry_backoff_s
         self.executor = executor
-        self.processes = processes
         self.chunk_size = chunk_size
         self.jsonl_path = os.fspath(jsonl_path) if jsonl_path is not None else None
-        self.writer = writer
-        self.wire = wire
-        self.shards = shards
         #: Cells actually executed by the last :meth:`run` (excludes resumed).
         self.executed = 0
         #: Cells loaded from the JSONL file by the last :meth:`run`.
@@ -378,292 +234,127 @@ class SweepRunner:
         self.respawns = 0
         self.quarantined = 0
 
-    # -- persistence -------------------------------------------------------
+    def run(self) -> list[RunRecord | None]:
+        """Run every pending cell; return records for *all* cells, in order.
 
-    def _load_done(self) -> dict[str, Any]:
-        """Resume index: canonical scenario key → stored record.
-
-        Reads both line layouts — ``{"record": row}`` (legacy, stored as
-        the raw row dict and decoded lazily at collection) and
-        ``{"batch": payload}`` (columnar, stored directly as normalized
-        :class:`RunRecord` objects) — keyed without constructing a
-        Scenario per line (see :func:`_dict_key`).  Unreadable lines
-        (torn tail of an interrupted sweep, foreign JSONL) are skipped;
-        their cells simply re-run.
+        Each unique cell runs (or resumes) once.  Duplicate cells get an
+        independent copy per position — callers could mutate one
+        occurrence's containers in place, and aliasing would silently
+        edit the others.  Quarantined cells (sharded) come back as None.
         """
-        done: dict[str, Any] = {}
-        if self.jsonl_path is None or not os.path.exists(self.jsonl_path):
-            return done
-        with open(self.jsonl_path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    entry = json.loads(line)
-                except json.JSONDecodeError:
-                    continue  # torn final line from an interrupted sweep
-                if not isinstance(entry, dict):
-                    continue  # foreign JSONL: valid JSON but not an object
-                record = entry.get("record")
-                if isinstance(record, dict) and "scenario" in record:
-                    key = _dict_key(record["scenario"])
-                    if key is not None:
-                        done[key] = record
-                    continue
-                payload = entry.get("batch")
-                if isinstance(payload, dict):
-                    try:
-                        records = RecordBatch.from_payload(payload).to_records()
-                        base = payload["base"]
-                        deltas = payload["cells"]
-                    except (ConfigurationError, IndexError, KeyError,
-                            TypeError, ValueError):
-                        continue  # foreign/incompatible batch: re-run its cells
-                    # Stored straight as normalized records (no dict round
-                    # trip); the key of base|delta is the record scenario's
-                    # canonical key without an asdict pass per cell.
-                    for delta, record in zip(deltas, records):
-                        key = _dict_key({**base, **delta})
-                        if key is not None:
-                            done[key] = record
-        return done
+        started = time.perf_counter()
+        self._check_path()
+        keys = [scenario_key(s) for s in self.scenarios]
+        unique: dict[str, Scenario] = {}
+        for scenario, key in zip(self.scenarios, keys):
+            unique.setdefault(key, scenario)
+        execute_unique = (
+            self._run_sharded if self.executor == "sharded" else self._run_serial
+        )
+        try:
+            done = execute_unique(list(unique.values()), list(unique))
+        finally:
+            self.elapsed = time.perf_counter() - started
+        out: list[RunRecord | None] = []
+        emitted: set[str] = set()
+        for key in keys:
+            record = done[key]
+            if record is not None and key in emitted:
+                record = record.normalized()  # fresh containers, equal value
+            else:
+                emitted.add(key)
+            out.append(record)
+        return out
+
+    def _check_path(self) -> None:
+        """Refuse a persistence path of the wrong kind before any cell runs."""
+        path, sharded = self.jsonl_path, self.executor == "sharded"
+        if path is None or not os.path.exists(path) or os.path.isdir(path) == sharded:
+            return
+        want, got = (("a shard directory", "file") if sharded
+                     else ("one JSONL file", "directory"))
+        raise ConfigurationError(
+            f"the {self.executor} executor persists to {want}, but {path!r} "
+            f"is a {got}; point jsonl_path (--jsonl) elsewhere or switch "
+            f"executor"
+        )
 
     def _flush(self, fh, buffer: list[RunRecord]) -> None:
-        """Persist buffered records as one syscall-sized append, then flush.
+        """Persist buffered records as one batch line, then clear the buffer."""
+        if fh is not None and buffer:
+            from repro.fabric import shardio
 
-        The columnar writer encodes the whole buffer as one batch line
-        (a single ``json.dumps`` pass); the legacy writer emits one
-        ``{"record": ...}`` line per record.
-        """
-        if fh is None or not buffer:
-            buffer.clear()
-            return
-        if self.writer == "columnar":
-            payload = RecordBatch.from_records(buffer).to_payload()
-            fh.write(json.dumps({"batch": payload}, sort_keys=True) + "\n")
-        else:
-            fh.write(
-                "".join(
-                    json.dumps({"record": record.to_dict()}, sort_keys=True) + "\n"
-                    for record in buffer
-                )
-            )
-        fh.flush()
+            shardio.append_batch(fh, buffer)
         buffer.clear()
 
-    # -- execution ---------------------------------------------------------
+    def _run_serial(
+        self, cells: list[Scenario], keys: list[str]
+    ) -> dict[str, RunRecord]:
+        """Run the unique cells in-process; key → normalized record."""
+        from repro.fabric import shardio
 
-    def _effective_chunk_size(self, pending_count: int, workers: int) -> int:
-        """The chunk size actually used for this run.
-
-        Auto-tuning targets ~4 chunks per worker so a straggler chunk
-        cannot idle the rest of the pool, capped at 64 cells so one chunk
-        never holds back persistence for too long, floored at 8 to keep
-        pickling/IPC amortized.
-        """
-        if self.chunk_size is not None:
-            return self.chunk_size
-        if workers <= 1 or pending_count == 0:
-            return 32
-        per_worker = -(-pending_count // (workers * 4))  # ceil division
-        return max(8, min(64, per_worker))
-
-    def _chunks(self, cells: list, chunk_size: int) -> Iterator[list]:
-        for i in range(0, len(cells), chunk_size):
-            yield cells[i : i + chunk_size]
-
-    def run(self) -> list[RunRecord]:
-        """Run every pending cell; return records for *all* cells, in order."""
-        started = time.perf_counter()
-        if self.executor == "sharded":
-            try:
-                return self._run_sharded()
-            finally:
-                self.elapsed = time.perf_counter() - started
-        done = self._load_done()
-        keys = [scenario_key(s) for s in self.scenarios]
-        pending: list[Scenario] = []
-        pending_keys: list[str] = []
-        seen_pending: set[str] = set()
-        resumed_keys: set[str] = set()
-        for s, key in zip(self.scenarios, keys):
-            if key in done:
-                resumed_keys.add(key)
-            elif key not in seen_pending:  # duplicate cells run once
-                pending.append(s)
-                pending_keys.append(key)
-                seen_pending.add(key)
-        self.resumed = len(resumed_keys)
+        path = self.jsonl_path
+        done = shardio.load_shard_index(path) if path is not None else {}
+        self.resumed = sum(key in done for key in keys)
         self.executed = 0
-
         fh = None
-        if self.jsonl_path is not None:
-            fh = open(self.jsonl_path, "a", encoding="utf-8")
-            # Heal a torn tail before appending: a sweep killed mid-write
-            # leaves a partial final line, and appending straight after it
-            # would glue the first new record onto the garbage — losing a
-            # whole fresh chunk on the *next* resume.  A newline turns the
-            # torn fragment into its own (skippable) line instead.
-            size = os.path.getsize(self.jsonl_path)
-            if size:
-                with open(self.jsonl_path, "rb") as tail:
-                    tail.seek(size - 1)
-                    if tail.read(1) != b"\n":
-                        fh.write("\n")
+        if path is not None:
+            shardio.heal_torn_tail(path)
+            fh = open(path, "a", encoding="utf-8")
+        chunk_size = self.chunk_size or 32
         buffer: list[RunRecord] = []
         try:
-            if self.executor == "serial":
-                chunk_size = self._effective_chunk_size(len(pending), workers=1)
-                last_flush = time.monotonic()
-                lease = EngineLease()  # engine reuse across the whole pass
-                for scenario, key in zip(pending, pending_keys):
-                    record = execute(scenario, trace=False, lease=lease).normalized()
-                    done[key] = record
-                    buffer.append(record)
-                    # Count-based flushing amortizes write+flush over fast
-                    # cells; the time trigger bounds how much work an
-                    # interrupted sweep of *slow* cells can lose.
-                    if (
-                        len(buffer) >= chunk_size
-                        or time.monotonic() - last_flush >= self.FLUSH_INTERVAL_S
-                    ):
-                        self._flush(fh, buffer)
-                        last_flush = time.monotonic()
-                    self.executed += 1
-            else:
-                self._run_pool(pending, pending_keys, done, fh, buffer)
+            last_flush = time.monotonic()
+            lease = EngineLease()  # engine reuse across the whole pass
+            for scenario, key in zip(cells, keys):
+                if key in done:
+                    continue
+                # trace=False pins sweep cells to the engines' fast path;
+                # per-event traces of thousands of cells would be pure
+                # overhead (records are byte-identical either way).
+                record = execute(scenario, trace=False, lease=lease).normalized()
+                done[key] = record
+                buffer.append(record)
+                self.executed += 1
+                # Count-based flushing amortizes write+flush over fast
+                # cells; the time trigger bounds how much work an
+                # interrupted sweep of *slow* cells can lose.
+                if (
+                    len(buffer) >= chunk_size
+                    or time.monotonic() - last_flush >= self.FLUSH_INTERVAL_S
+                ):
+                    self._flush(fh, buffer)
+                    last_flush = time.monotonic()
         finally:
             self._flush(fh, buffer)
             if fh is not None:
                 fh.close()
-            self.elapsed = time.perf_counter() - started
+        return done
 
-        # Fresh cells are already normalized records; resumed cells decode
-        # from their stored rows here (once, at collection).  Duplicate
-        # cells get an independent copy per position — callers could
-        # mutate one occurrence's containers in place, and aliasing would
-        # silently edit the others.
-        out: list[RunRecord] = []
-        emitted: set[str] = set()
-        for key in keys:
-            value = done[key]
-            if not isinstance(value, RunRecord):
-                value = done[key] = RunRecord.from_dict(value)
-            if key in emitted:
-                value = value.normalized()  # fresh containers, equal value
-            else:
-                emitted.add(key)
-            out.append(value)
-        return out
+    def _run_sharded(
+        self, cells: list[Scenario], keys: list[str]
+    ) -> dict[str, RunRecord | None]:
+        """Delegate the unique cells to the :mod:`repro.fabric` executor.
 
-    def _run_sharded(self) -> list[RunRecord]:
-        """Delegate to the :mod:`repro.fabric` work-stealing executor.
-
-        The fabric runs the *unique* cells (duplicates collapse exactly as
-        on the other executors) with ``jsonl_path`` as its shard
-        directory — or an ephemeral one when no path was given — and this
-        wrapper maps its stats back onto the runner's counters.
+        ``jsonl_path`` is the shard directory (an ephemeral one when no
+        path was given); the fabric's stats map back onto the runner's
+        counters.
         """
         from repro.fabric.dispatcher import ShardedSweep
 
-        unique: list[Scenario] = []
-        unique_keys: list[str] = []
-        keys = [scenario_key(s) for s in self.scenarios]
-        seen: set[str] = set()
-        for scenario, key in zip(self.scenarios, keys):
-            if key not in seen:
-                unique.append(scenario)
-                unique_keys.append(key)
-                seen.add(key)
-        supervision = {
-            name: value
-            for name, value in (
-                ("faults", self.faults),
-                ("liveness_timeout", self.liveness_timeout),
-                ("max_respawns", self.max_respawns),
-                ("max_shard_retries", self.max_shard_retries),
-                ("retry_backoff_s", self.retry_backoff_s),
-            )
-            if value is not None  # None → keep the fabric's own defaults
-        }
         fabric = ShardedSweep(
-            unique,
+            cells,
             directory=self.jsonl_path,
-            processes=self.processes,
-            shards=self.shards,
             chunk_size=self.chunk_size,
-            keys=unique_keys,  # already computed for the dedupe above
-            **supervision,
+            keys=keys,  # already computed for the dedupe
+            **self._fabric_options,
         )
         records = fabric.run()
-        self.executed = fabric.executed
-        self.resumed = fabric.resumed
-        self.resumed_shards = fabric.resumed_shards
-        self.fresh_shards = fabric.fresh_shards
-        self.stolen_chunks = fabric.stolen_chunks
-        self.shard_stats = fabric.shard_stats
-        self.retries = fabric.retries
-        self.respawns = fabric.respawns
-        self.quarantined = fabric.quarantined
-        if len(unique) == len(keys):  # no duplicates: fabric order IS grid order
-            return records
-        done = dict(zip(unique_keys, records))
-        out: list[RunRecord | None] = []
-        emitted: set[str] = set()
-        for key in keys:
-            value = done[key]
-            # Quarantined cells come back as None; they carry no
-            # containers, so duplicates need no defensive copy either.
-            if value is not None and key in emitted:
-                value = value.normalized()  # fresh containers per duplicate
-            else:
-                emitted.add(key)
-            out.append(value)
-        return out  # type: ignore[return-value]
-
-    def _run_pool(self, pending, pending_keys, done, fh, buffer) -> None:
-        import multiprocessing
-
-        if not pending:
-            return
-        workers = self.processes or os.cpu_count() or 2
-        chunk_size = self._effective_chunk_size(len(pending), workers)
-        key_chunks = list(self._chunks(pending_keys, chunk_size))
-        initializer, initargs = None, ()
-        if self.wire == "delta":
-            # One sweep-wide base scenario, shipped once per worker via the
-            # pool initializer; every cell crosses the pool boundary as a
-            # compact CellDelta against it.
-            base = pending[0]
-            base_dict = base.to_dict()
-            initializer, initargs = _pool_init_base, (base_dict,)
-            tasks = [
-                (idx, [scenario_delta(base, cell) for cell in chunk])
-                for idx, chunk in enumerate(self._chunks(pending, chunk_size))
-            ]
-            worker = _run_chunk_delta
-        else:
-            tasks = [
-                (idx, [cell.to_dict() for cell in chunk])
-                for idx, chunk in enumerate(self._chunks(pending, chunk_size))
-            ]
-            worker = _run_chunk
-        workers = max(1, min(workers, len(tasks)))
-        with multiprocessing.Pool(
-            processes=workers, initializer=initializer, initargs=initargs
-        ) as pool:
-            for idx, result in pool.imap_unordered(worker, tasks):
-                if self.wire == "delta":
-                    result["base"] = base_dict  # stripped worker-side
-                    records = RecordBatch.from_payload(result).to_records()
-                else:
-                    records = [RunRecord.from_dict(row) for row in result]
-                for key, record in zip(key_chunks[idx], records):
-                    done[key] = record
-                    buffer.append(record)
-                    self.executed += 1
-                self._flush(fh, buffer)  # one append+flush per finished chunk
+        for counter in ("executed", "resumed", "resumed_shards", "fresh_shards",
+                        "stolen_chunks", "shard_stats", "retries", "respawns",
+                        "quarantined"):
+            setattr(self, counter, getattr(fabric, counter))
+        return dict(zip(keys, records))
 
 
 # ---------------------------------------------------------------------------

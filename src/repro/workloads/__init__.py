@@ -1,6 +1,6 @@
-"""Workload generators: proposal vectors and crash grids."""
+"""Workload generators: proposal vectors and named crash adversaries."""
 
-from repro.workloads.crashes import ADVERSARIES, CrashGrid, make_adversary
+from repro.workloads.crashes import ADVERSARIES, make_adversary
 from repro.workloads.proposals import (
     binary_vector,
     distinct_ints,
@@ -11,7 +11,6 @@ from repro.workloads.proposals import (
 
 __all__ = [
     "ADVERSARIES",
-    "CrashGrid",
     "make_adversary",
     "binary_vector",
     "distinct_ints",

@@ -1,9 +1,6 @@
-"""Crash-workload grids: named adversaries × f sweeps for the harness."""
+"""Named crash adversaries: ``name -> Adversary`` constructors."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Iterator
 
 from repro.errors import ConfigurationError
 from repro.sync.adversary import (
@@ -16,7 +13,7 @@ from repro.sync.adversary import (
     StaggeredKiller,
 )
 
-__all__ = ["ADVERSARIES", "make_adversary", "CrashGrid"]
+__all__ = ["ADVERSARIES", "make_adversary"]
 
 #: Registry of named adversary constructors: name -> callable(f) -> Adversary.
 ADVERSARIES = {
@@ -41,29 +38,3 @@ def make_adversary(name: str, f: int) -> Adversary:
         ) from None
     return ctor(f)
 
-
-@dataclass(frozen=True)
-class CrashGrid:
-    """A (n, t, f, adversary, seed) sweep definition."""
-
-    n_values: tuple[int, ...]
-    adversaries: tuple[str, ...]
-    seeds: int = 10
-    t_rule: str = "n-1"  # "n-1" | "third" (t = ceil(n/3))
-
-    def t_for(self, n: int) -> int:
-        if self.t_rule == "n-1":
-            return n - 1
-        if self.t_rule == "third":
-            return max(1, (n + 2) // 3)
-        raise ConfigurationError(f"unknown t_rule {self.t_rule!r}")
-
-    def __iter__(self) -> Iterator[tuple[int, int, int, str, int]]:
-        """Yield (n, t, f, adversary_name, seed) tuples."""
-        for n in self.n_values:
-            t = self.t_for(n)
-            for name in self.adversaries:
-                f_range = [0] if name == "none" else list(range(0, t + 1))
-                for f in f_range:
-                    for seed in range(self.seeds):
-                        yield (n, t, f, name, seed)

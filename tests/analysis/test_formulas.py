@@ -111,13 +111,15 @@ class TestSimulationFormula:
 
 
 class TestFormulasAgreeWithHarness:
-    def test_runner_bounds_match(self):
-        from repro.harness.runner import ALGORITHMS
+    def test_registry_bounds_match(self):
+        from repro.scenarios import ALGORITHMS
 
+        bound = {name: ALGORITHMS.get(name).round_bound
+                 for name in ("crw", "floodset", "early-stopping")}
         for f, t in ((0, 3), (2, 3), (3, 3)):
-            assert ALGORITHMS["crw"].round_bound(f, t) == F.crw_round_bound(f)
-            assert ALGORITHMS["floodset"].round_bound(f, t) == F.floodset_rounds(t)
-            assert ALGORITHMS["early-stopping"].round_bound(f, t) == F.early_stopping_round_bound(f, t)
+            assert bound["crw"](f, t) == F.crw_round_bound(f)
+            assert bound["floodset"](f, t) == F.floodset_rounds(t)
+            assert bound["early-stopping"](f, t) == F.early_stopping_round_bound(f, t)
 
     def test_timing_module_matches(self):
         from repro.timing.model import RoundCost, crossover_d
@@ -129,9 +131,10 @@ class TestFormulasAgreeWithHarness:
         assert crossover_d(100.0, 3) == F.crossover_d(100.0, 3)
 
     def test_measured_run_matches_formulas(self):
-        from repro.harness.runner import RunConfig, run_once
+        from repro.scenarios import Scenario, execute
 
         n, v = 8, 64
-        result = run_once(RunConfig("crw", n, n - 1, 0, "none", 0, value_bits=v))
-        assert result.stats.messages_sent == F.crw_best_messages(n)
-        assert result.stats.bits_sent == F.crw_best_bits(n, v)
+        record = execute(Scenario(algorithm="crw", n=n, t=n - 1, workload="sized",
+                                  workload_params={"bits": v}))
+        assert record.messages_sent == F.crw_best_messages(n)
+        assert record.bits_sent == F.crw_best_bits(n, v)

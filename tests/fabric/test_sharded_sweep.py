@@ -127,10 +127,6 @@ class TestStats:
 
 
 class TestValidation:
-    def test_legacy_writer_rejected(self, cells):
-        with pytest.raises(ConfigurationError, match="columnar"):
-            SweepRunner(cells, executor="sharded", writer="legacy")
-
     def test_duplicate_keys_rejected_by_fabric_directly(self, cells):
         with pytest.raises(ConfigurationError, match="unique"):
             ShardedSweep(list(cells[:3]) + [cells[0]]).run()

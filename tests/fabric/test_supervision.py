@@ -271,7 +271,7 @@ class TestValidation:
             SweepRunner(cells, executor="serial", liveness_timeout=5.0)
         with pytest.raises(ConfigurationError, match="sharded"):
             SweepRunner(
-                cells, executor="process",
+                cells, executor="serial",
                 faults=FaultPlan.from_spec("raise:cell=0"),
             )
 

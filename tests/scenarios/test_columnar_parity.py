@@ -1,22 +1,28 @@
-"""PR 5 acceptance grid: byte-identical records across every data path.
+"""Byte-identical records across every data path of the sweep pipeline.
 
 The columnar pipeline must be invisible in the results.  One grid of
 scenarios spanning three backends (extended, classic, async) × crashing
-adversaries × seeds is executed through every pair of alternatives the
-pipeline introduced, and the records must match dict for dict:
+adversaries × seeds is executed through every alternative, and the
+records must match dict for dict:
 
-* legacy vs columnar JSONL **writer** (including cross-format resume);
-* dict vs delta process-pool **wire** protocol;
+* the **legacy reader**: files holding the retired writer's
+  one-record-per-line ``{"record": ...}`` layout (alone, or followed by
+  columnar batch lines) still resume, in a serial file and in a shard
+  file;
+* the serial executor vs the sharded fabric's CellDelta wire;
 * fresh vs **refilled** engines (the lease path that skips the
   n-object process factory entirely).
 """
 
 from __future__ import annotations
 
+import json
 import warnings
 
 import pytest
 
+from repro.fabric import shardio
+from repro.fabric.manifest import ShardManifest
 from repro.scenarios import (
     EngineLease,
     Scenario,
@@ -50,43 +56,97 @@ def reference(grid):
     return [execute(cell, trace=False).to_dict() for cell in grid]
 
 
-class TestWriterParity:
-    def test_columnar_and_legacy_writers_match(self, grid, reference, tmp_path):
-        for writer in ("columnar", "legacy"):
-            runner = SweepRunner(
-                grid, jsonl_path=tmp_path / f"{writer}.jsonl", writer=writer
-            )
-            records = runner.run()
-            assert [r.to_dict() for r in records] == reference, writer
+def legacy_lines(records) -> str:
+    """The exact bytes the retired legacy writer appended for ``records``."""
+    return "".join(
+        json.dumps({"record": r.to_dict()}, sort_keys=True) + "\n" for r in records
+    )
 
-    def test_cross_format_resume(self, grid, reference, tmp_path):
-        # First half persisted columnar, rest appended by a legacy-writer
-        # rerun (and vice versa): resume must stitch both layouts together.
+
+@pytest.fixture(scope="module")
+def records(grid):
+    return [execute(cell, trace=False).normalized() for cell in grid]
+
+
+class TestLegacyReader:
+    def test_serial_file_of_legacy_lines_resumes(self, grid, records, reference,
+                                                 tmp_path):
+        path = tmp_path / "legacy.jsonl"
+        path.write_text(legacy_lines(records), encoding="utf-8")
+        runner = SweepRunner(grid, jsonl_path=path)
+        assert [r.to_dict() for r in runner.run()] == reference
+        assert runner.executed == 0 and runner.resumed == len(grid)
+
+    def test_serial_legacy_prefix_then_columnar_lines(self, grid, records,
+                                                      reference, tmp_path):
+        # A file the legacy writer started and the columnar writer
+        # finished: resume must stitch both layouts together.
         half = len(grid) // 2
-        for first, second in (("columnar", "legacy"), ("legacy", "columnar")):
-            path = tmp_path / f"{first}-{second}.jsonl"
-            SweepRunner(grid[:half], jsonl_path=path, writer=first).run()
-            runner = SweepRunner(grid, jsonl_path=path, writer=second)
-            records = runner.run()
-            assert runner.resumed == half
-            assert runner.executed == len(grid) - half
-            assert [r.to_dict() for r in records] == reference
-
-    def test_columnar_file_resumes_with_zero_executed(self, grid, tmp_path):
-        path = tmp_path / "full.jsonl"
-        SweepRunner(grid, jsonl_path=path).run()
+        path = tmp_path / "mixed.jsonl"
+        path.write_text(legacy_lines(records[:half]), encoding="utf-8")
+        runner = SweepRunner(grid, jsonl_path=path)
+        assert [r.to_dict() for r in runner.run()] == reference
+        assert runner.resumed == half and runner.executed == len(grid) - half
+        lines = [json.loads(line) for line in path.read_text().splitlines()]
+        assert ["record" in line for line in lines[:half]] == [True] * half
+        assert lines[half:] and all("batch" in line for line in lines[half:])
         rerun = SweepRunner(grid, jsonl_path=path)
-        rerun.run()
+        assert [r.to_dict() for r in rerun.run()] == reference
         assert rerun.executed == 0 and rerun.resumed == len(grid)
 
+    def _sharded(self, grid, d):
+        return SweepRunner(grid, executor="sharded", jsonl_path=d,
+                           processes=2, shards=3, chunk_size=4)
 
-class TestWireParity:
-    def test_delta_and_dict_wire_match(self, grid, reference):
-        for wire in ("delta", "dict"):
-            records = SweepRunner(
-                grid, executor="process", processes=2, chunk_size=7, wire=wire
-            ).run()
-            assert [r.to_dict() for r in records] == reference, wire
+    def test_done_shard_file_of_legacy_lines_resumes(self, grid, records,
+                                                     reference, tmp_path):
+        d = tmp_path / "shards"
+        self._sharded(grid, d).run()
+        spec = ShardManifest.load(str(d)).shards[0]
+        shard = records[spec.start:spec.stop]
+        cut = len(shard) // 2
+        (d / spec.file).write_text(legacy_lines(shard), encoding="utf-8")
+        runner = self._sharded(grid, d)
+        assert [r.to_dict() for r in runner.run()] == reference
+        assert runner.executed == 0 and runner.resumed == len(grid)
+        # Legacy lines followed by a columnar batch line read the same.
+        with open(d / spec.file, "w", encoding="utf-8") as fh:
+            fh.write(legacy_lines(shard[:cut]))
+            shardio.append_batch(fh, shard[cut:])
+        runner = self._sharded(grid, d)
+        assert [r.to_dict() for r in runner.run()] == reference
+        assert runner.executed == 0 and runner.resumed == len(grid)
+
+    def test_pending_shard_resumes_legacy_lines_per_cell(self, grid, records,
+                                                         reference, tmp_path):
+        # A shard interrupted after its legacy prefix: the worker resumes
+        # those cells and appends columnar batch lines for the rest.
+        d = tmp_path / "shards"
+        self._sharded(grid, d).run()
+        manifest = ShardManifest.load(str(d))
+        spec = manifest.shards[1]
+        spec.status = "pending"
+        manifest.save()
+        cut = spec.cells // 2
+        (d / spec.file).write_text(
+            legacy_lines(records[spec.start:spec.start + cut]), encoding="utf-8"
+        )
+        runner = self._sharded(grid, d)
+        assert [r.to_dict() for r in runner.run()] == reference
+        assert runner.executed == spec.cells - cut
+        rerun = self._sharded(grid, d)
+        assert [r.to_dict() for r in rerun.run()] == reference
+        assert rerun.executed == 0
+
+
+class TestShardedWireParity:
+    def test_sharded_delta_wire_matches_serial(self, grid, reference):
+        # The fabric ships cells as CellDeltas against one base scenario
+        # and returns them through shared-memory slabs.
+        records = SweepRunner(
+            grid, executor="sharded", processes=2, chunk_size=7
+        ).run()
+        assert [r.to_dict() for r in records] == reference
 
 
 class TestRefillParity:
@@ -176,13 +236,19 @@ class TestRefillParity:
                 ), (algorithm, seed)
 
 
-class TestPoolAndSerialStillAgree:
-    def test_default_paths_end_to_end(self, grid, reference, tmp_path):
-        # The all-defaults pipeline (delta wire + columnar writer + leases
+class TestExecutorsAgree:
+    @pytest.mark.parametrize("executor", ["serial", "sharded"])
+    def test_default_paths_end_to_end(self, executor, grid, reference, tmp_path):
+        # The all-defaults pipeline (columnar shard-file format + leases
         # everywhere) against the ground truth, with persistence on.
-        runner = SweepRunner(
-            grid, executor="process", processes=2,
-            jsonl_path=tmp_path / "default.jsonl",
-        )
+        runner = SweepRunner(grid, executor=executor,
+                             jsonl_path=tmp_path / "persisted")
         records = runner.run()
         assert [r.to_dict() for r in records] == reference
+
+    def test_columnar_file_resumes_with_zero_executed(self, grid, tmp_path):
+        path = tmp_path / "full.jsonl"
+        SweepRunner(grid, jsonl_path=path).run()
+        rerun = SweepRunner(grid, jsonl_path=path)
+        rerun.run()
+        assert rerun.executed == 0 and rerun.resumed == len(grid)

@@ -8,7 +8,6 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.scenarios import (
-    RunRecord,
     Scenario,
     SweepRunner,
     expand_grid,
@@ -92,17 +91,37 @@ class TestSweepRunner:
         spot = execute(cells[3])
         assert records[3].to_dict() == spot.to_dict()
 
-    def test_process_pool_equals_serial(self):
+    def test_sharded_equals_serial(self):
         cells = small_grid(seeds=3)
         serial = SweepRunner(cells, executor="serial").run()
-        pooled = SweepRunner(
-            cells, executor="process", processes=2, chunk_size=4
+        sharded = SweepRunner(
+            cells, executor="sharded", processes=2, chunk_size=4
         ).run()
-        assert [r.to_dict() for r in pooled] == [r.to_dict() for r in serial]
+        assert [r.to_dict() for r in sharded] == [r.to_dict() for r in serial]
 
     def test_bad_executor_rejected(self):
         with pytest.raises(ConfigurationError):
             SweepRunner([], executor="gpu")
+        with pytest.raises(ConfigurationError, match="serial, sharded"):
+            SweepRunner([], executor="process")
+
+    def test_fabric_options_require_sharded_executor(self):
+        cells = small_grid(seeds=1)
+        for options in ({"processes": 2}, {"shards": 3},
+                        {"processes": 2, "shards": 3}):
+            with pytest.raises(ConfigurationError, match="sharded executor"):
+                SweepRunner(cells, executor="serial", **options)
+
+    def test_cli_rejects_fabric_options_on_serial(self, tmp_path, capsys):
+        from repro.harness.cli import main
+
+        path = tmp_path / "sweep.jsonl"
+        assert main(["scenario", "sweep", "-a", "crw", "--n", "4", "--seeds", "1",
+                     "--shards", "3", "--jobs", "2", "--jsonl", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: processes, shards require(s) the sharded")
+        assert len(err.splitlines()) == 1
+        assert not path.exists()  # refused before any cell ran
 
     def test_summarize_groups_by_cell(self):
         records = SweepRunner(small_grid(seeds=2)).run()
@@ -129,10 +148,42 @@ class TestSweepRunner:
         assert len(rows) == 1 and rows[0].seeds == 4
 
 
+class TestPersistencePathKind:
+    def test_sharded_refuses_an_existing_file(self, tmp_path):
+        path = tmp_path / "sweep.jsonl"
+        path.write_text("", encoding="utf-8")
+        runner = SweepRunner(small_grid(seeds=1), executor="sharded",
+                             jsonl_path=path)
+        with pytest.raises(ConfigurationError, match="shard directory"):
+            runner.run()
+        assert runner.executed == 0 and path.read_text() == ""
+
+    def test_serial_refuses_a_directory(self, tmp_path):
+        runner = SweepRunner(small_grid(seeds=1), jsonl_path=tmp_path)
+        with pytest.raises(ConfigurationError, match="one JSONL file"):
+            runner.run()
+        assert runner.executed == 0 and list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("executor,kind", [("sharded", "file"),
+                                               ("serial", "directory")])
+    def test_cli_exits_2_with_one_line(self, executor, kind, tmp_path, capsys):
+        from repro.harness.cli import main
+
+        path = tmp_path / "sweep.jsonl"
+        if kind == "file":
+            path.write_text("", encoding="utf-8")
+        else:
+            path.mkdir()
+        assert main(["scenario", "sweep", "-a", "crw", "--n", "4", "--seeds", "1",
+                     "--executor", executor, "--jsonl", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert f"is a {kind}" in err
+
+
 class TestJsonlResume:
-    def test_hundred_cell_pool_sweep_with_resume(self, tmp_path):
-        """ISSUE acceptance: a 100-cell sweep runs under the process pool
-        and resumes from its JSONL after interruption."""
+    def test_hundred_cell_sweep_with_resume(self, tmp_path):
+        """A 100-cell sweep resumes from its JSONL after interruption."""
         path = tmp_path / "sweep.jsonl"
         cells = expand_grid(
             ["crw"], [4], f_values=[0, 1], adversaries=("coordinator-killer",),
@@ -141,14 +192,12 @@ class TestJsonlResume:
         assert len(cells) == 100
 
         # "Interrupted" first attempt: only a prefix got persisted.
-        first = SweepRunner(cells[:37], executor="process", processes=2,
-                            chunk_size=10, jsonl_path=path)
+        first = SweepRunner(cells[:37], chunk_size=10, jsonl_path=path)
         first.run()
         assert first.executed == 37
 
         # Resumed full sweep: only the missing 63 cells execute.
-        full = SweepRunner(cells, executor="process", processes=2,
-                           chunk_size=10, jsonl_path=path)
+        full = SweepRunner(cells, chunk_size=10, jsonl_path=path)
         records = full.run()
         assert full.resumed == 37
         assert full.executed == 63
@@ -192,6 +241,22 @@ class TestJsonlResume:
         assert runner.executed == len(cells) and runner.resumed == 0
         assert len(records) == len(cells)
 
+    def test_undecodable_legacy_line_reruns_its_cell(self, tmp_path):
+        # A legacy line whose scenario is valid (so its key matches a
+        # pending cell) but whose record is not: the cell must re-run,
+        # not crash the resume when the record is decoded.
+        from repro.scenarios import execute
+
+        path = tmp_path / "sweep.jsonl"
+        cells = small_grid(seeds=1)
+        path.write_text(
+            json.dumps({"record": {"scenario": cells[0].to_dict()}}) + "\n"
+        )
+        runner = SweepRunner(cells, jsonl_path=path)
+        records = runner.run()
+        assert runner.executed == len(cells) and runner.resumed == 0
+        assert records[0] == execute(cells[0]).normalized()
+
     def test_torn_final_line_is_ignored(self, tmp_path):
         path = tmp_path / "sweep.jsonl"
         cells = small_grid(seeds=1)
@@ -203,16 +268,6 @@ class TestJsonlResume:
         records = resumed.run()
         assert resumed.executed == 0
         assert len(records) == len(cells)
-
-    def test_record_round_trips_through_legacy_jsonl(self, tmp_path):
-        path = tmp_path / "one.jsonl"
-        cell = Scenario(algorithm="crw", n=4, f=1, adversary="coordinator-killer")
-        (record,) = SweepRunner([cell], jsonl_path=path, writer="legacy").run()
-        with open(path, encoding="utf-8") as fh:
-            stored = RunRecord.from_dict(json.loads(fh.readline())["record"])
-        assert stored.scenario == cell
-        assert stored.decisions == record.decisions
-        assert stored.spec_ok == record.spec_ok
 
     def test_record_round_trips_through_columnar_jsonl(self, tmp_path):
         from repro.scenarios import RecordBatch
@@ -227,15 +282,21 @@ class TestJsonlResume:
         assert stored == record  # full normalized-record equality
 
     def test_sized_payloads_serialize(self, tmp_path):
-        for writer in ("legacy", "columnar"):
-            path = tmp_path / f"sized-{writer}.jsonl"
-            cell = Scenario(algorithm="crw", n=4, workload="sized",
-                            workload_params={"bits": 64})
-            (record,) = SweepRunner([cell], jsonl_path=path, writer=writer).run()
-            assert record.spec_ok
-            line = json.loads(open(path, encoding="utf-8").readline())
-            if writer == "legacy":
-                decisions = line["record"]["decisions"]
-            else:
-                decisions = line["batch"]["decisions"][0]
-            assert list(decisions.values())[0] == {"$sized": [101, 64]}
+        path = tmp_path / "sized.jsonl"
+        cell = Scenario(algorithm="crw", n=4, workload="sized",
+                        workload_params={"bits": 64})
+        (record,) = SweepRunner([cell], jsonl_path=path).run()
+        assert record.spec_ok
+        line = json.loads(open(path, encoding="utf-8").readline())
+        decisions = line["batch"]["decisions"][0]
+        assert list(decisions.values())[0] == {"$sized": [101, 64]}
+
+    def test_sized_payloads_resume_from_legacy_lines(self, tmp_path):
+        path = tmp_path / "sized-legacy.jsonl"
+        cell = Scenario(algorithm="crw", n=4, workload="sized",
+                        workload_params={"bits": 64})
+        (record,) = SweepRunner([cell]).run()
+        path.write_text(json.dumps({"record": record.to_dict()}, sort_keys=True)
+                        + "\n", encoding="utf-8")
+        runner = SweepRunner([cell], jsonl_path=path)
+        assert runner.run() == [record] and runner.resumed == 1

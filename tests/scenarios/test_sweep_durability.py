@@ -2,8 +2,9 @@
 
 A sweep killed mid-chunk leaves a JSONL file whose tail is garbage: the
 final line may be torn mid-write (the buffered append was cut by the
-kill) and whole chunks may never have flushed.  The contract for both
-writers is:
+kill) and whole chunks may never have flushed.  The contract, for files
+the sweep wrote and for files in the retired writer's one-record-per-line
+layout alike, is:
 
 * resume must re-run **exactly** the cells whose records did not survive
   (never a survivor, never fewer than the lost set);
@@ -44,6 +45,18 @@ def uninterrupted(cells):
     return [r.to_dict() for r in SweepRunner(cells).run()]
 
 
+def _write_complete(layout, path, cells, uninterrupted, **kwargs) -> None:
+    """A completed sweep's file: written by the sweep (``columnar``) or
+    holding the retired legacy writer's exact bytes (``legacy``)."""
+    if layout == "columnar":
+        SweepRunner(cells, jsonl_path=path, **kwargs).run()
+    else:
+        path.write_text("".join(
+            json.dumps({"record": row}, sort_keys=True) + "\n"
+            for row in uninterrupted
+        ), encoding="utf-8")
+
+
 def _records_in(path) -> int:
     """Complete records decodable from a (possibly torn) JSONL file."""
     count = 0
@@ -60,7 +73,7 @@ def _records_in(path) -> int:
     return count
 
 
-@pytest.mark.parametrize("writer", ["columnar", "legacy"])
+@pytest.mark.parametrize("layout", ["columnar", "legacy"])
 class TestKilledMidChunk:
     def _interrupt(self, path, keep_lines: int, torn_bytes: int) -> None:
         """Rewrite ``path`` as ``keep_lines`` full lines + a torn prefix of
@@ -72,11 +85,10 @@ class TestKilledMidChunk:
         path.write_bytes(b"".join(lines[:keep_lines]) + torn)
 
     def test_resume_reruns_exactly_the_lost_cells(
-        self, writer, cells, uninterrupted, tmp_path
+        self, layout, cells, uninterrupted, tmp_path
     ):
-        path = tmp_path / f"kill-{writer}.jsonl"
-        full = SweepRunner(cells, jsonl_path=path, writer=writer, chunk_size=4)
-        full.run()
+        path = tmp_path / f"kill-{layout}.jsonl"
+        _write_complete(layout, path, cells, uninterrupted, chunk_size=4)
 
         # Kill: one full flush survives, the second line is torn mid-write,
         # everything after is lost (never flushed).
@@ -84,41 +96,39 @@ class TestKilledMidChunk:
         survived = _records_in(path)
         assert 0 < survived < len(cells)
 
-        resumed = SweepRunner(cells, jsonl_path=path, writer=writer, chunk_size=4)
+        resumed = SweepRunner(cells, jsonl_path=path, chunk_size=4)
         records = resumed.run()
         assert resumed.resumed == survived
         assert resumed.executed == len(cells) - survived
         assert [r.to_dict() for r in records] == uninterrupted
 
         # The healed file now covers everything: a further rerun is a no-op.
-        healed = SweepRunner(cells, jsonl_path=path, writer=writer)
+        healed = SweepRunner(cells, jsonl_path=path)
         healed.run()
         assert healed.executed == 0 and healed.resumed == len(cells)
 
     def test_torn_first_line_loses_nothing_but_that_chunk(
-        self, writer, cells, uninterrupted, tmp_path
+        self, layout, cells, uninterrupted, tmp_path
     ):
         # Kill during the very first flush: only a torn prefix on disk.
-        path = tmp_path / f"first-{writer}.jsonl"
-        full = SweepRunner(cells, jsonl_path=path, writer=writer, chunk_size=4)
-        full.run()
+        path = tmp_path / f"first-{layout}.jsonl"
+        _write_complete(layout, path, cells, uninterrupted, chunk_size=4)
         self._interrupt(path, keep_lines=0, torn_bytes=40)
         assert _records_in(path) == 0
 
-        resumed = SweepRunner(cells, jsonl_path=path, writer=writer, chunk_size=4)
+        resumed = SweepRunner(cells, jsonl_path=path, chunk_size=4)
         records = resumed.run()
         assert resumed.resumed == 0 and resumed.executed == len(cells)
         assert [r.to_dict() for r in records] == uninterrupted
 
-    def test_pool_sweep_interrupted(self, writer, cells, uninterrupted, tmp_path):
-        # Same contract under the process executor (chunk flush per task).
-        path = tmp_path / f"pool-{writer}.jsonl"
-        SweepRunner(cells, jsonl_path=path, writer=writer,
-                    executor="process", processes=2, chunk_size=3).run()
+    def test_small_chunk_sweep_interrupted(self, layout, cells, uninterrupted,
+                                           tmp_path):
+        # Same contract with a smaller flush unit and a later kill point.
+        path = tmp_path / f"small-{layout}.jsonl"
+        _write_complete(layout, path, cells, uninterrupted, chunk_size=3)
         self._interrupt(path, keep_lines=2, torn_bytes=10)
         survived = _records_in(path)
-        resumed = SweepRunner(cells, jsonl_path=path, writer=writer,
-                              executor="process", processes=2, chunk_size=3)
+        resumed = SweepRunner(cells, jsonl_path=path, chunk_size=3)
         records = resumed.run()
         assert resumed.resumed == survived
         assert resumed.executed == len(cells) - survived

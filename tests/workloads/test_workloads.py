@@ -7,7 +7,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.net.payload import SizedValue
 from repro.util.rng import RandomSource
-from repro.workloads.crashes import ADVERSARIES, CrashGrid, make_adversary
+from repro.workloads.crashes import ADVERSARIES, make_adversary
 from repro.workloads.proposals import (
     binary_vector,
     distinct_ints,
@@ -55,17 +55,3 @@ class TestAdversaryRegistry:
     def test_unknown_rejected(self):
         with pytest.raises(ConfigurationError):
             make_adversary("nope", 1)
-
-
-class TestCrashGrid:
-    def test_iteration_shape(self):
-        grid = CrashGrid(n_values=(4,), adversaries=("none", "random"), seeds=2)
-        cells = list(grid)
-        # none -> f=0 only (2 seeds); random -> f in 0..3 (4*2 seeds).
-        assert len(cells) == 2 + 4 * 2
-
-    def test_t_rules(self):
-        assert CrashGrid((), (), t_rule="n-1").t_for(7) == 6
-        assert CrashGrid((), (), t_rule="third").t_for(9) == 3
-        with pytest.raises(ConfigurationError):
-            CrashGrid((), (), t_rule="bogus").t_for(4)
