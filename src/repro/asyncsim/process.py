@@ -12,8 +12,9 @@ Unlike the synchronous API there is no round structure: protocols must tag
 messages with their own round numbers (Section 4 of the paper points to
 exactly this as an intrinsic cost of asynchrony).
 
-Mirroring :class:`repro.sync.api.BatchedAlgorithm`, an asynchronous
-algorithm may additionally register a **columnar table**
+Like the synchronous engines' vector tables
+(:class:`repro.sync.api.VectorAlgorithm`), an asynchronous algorithm
+may additionally register a **columnar table**
 (:class:`AsyncBatchedTable` via :func:`register_async_table`): one object
 holding every process's state in pid-indexed parallel lists, fed raw
 delivery tuples by the runner.  The table applies each event straight to
@@ -262,7 +263,7 @@ class AsyncBatchedTable(abc.ABC):
         """``observer``'s suspect list may have changed."""
 
     #: Refill capability advertisement (mirror of
-    #: :attr:`repro.sync.api.BatchedAlgorithm.supports_refill`): tables
+    #: :attr:`repro.sync.api.VectorAlgorithm.supports_refill`): tables
     #: that implement :meth:`refill` set this True, letting a leased
     #: runner rerun a configuration without rebuilding processes or table.
     supports_refill: bool = False

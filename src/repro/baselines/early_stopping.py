@@ -32,31 +32,30 @@ reached *anyone* without reaching ``p`` would have made the count drop), and
 
 from __future__ import annotations
 
-from typing import Any, Mapping, Sequence
+from typing import Any, Sequence
 
 from repro.errors import ConfigurationError
-from repro.baselines.floodset import value_key
+from repro.baselines.floodset import key_order, value_key
 from repro.net.payload import bit_size
 from repro.sync.api import (
-    BatchedAlgorithm,
     RoundInbox,
     SendPlan,
     SyncProcess,
     VectorAlgorithm,
     VectorSend,
-    register_batched_table,
     register_vector_table,
 )
 from repro.util.columns import (
-    all_int64,
     any_at,
     bool_column,
     int_column,
+    is_array_column,
     min_at,
     put,
     take,
+    value_column,
 )
-from repro.util.tables import fill_column, refill_column
+from repro.util.tables import fill_column, refill_value_column
 
 __all__ = ["EarlyStoppingConsensus"]
 
@@ -108,88 +107,9 @@ class EarlyStoppingConsensus(SyncProcess):
         self._prev_nbr = nbr
 
 
-@register_batched_table(EarlyStoppingConsensus)
-class _EarlyStoppingTable(BatchedAlgorithm):
-    """Columnar early-stopping: ``est``/``early``/``nbr`` in parallel lists."""
-
-    __slots__ = ("n", "horizon", "est", "early", "prev_nbr", "dests")
-
-    def __init__(self, processes: Sequence[SyncProcess]) -> None:
-        n = processes[0].n
-        self.n = n
-        self.horizon = [0] * (n + 1)
-        self.est: list[Any] = [None] * (n + 1)
-        self.early = [False] * (n + 1)
-        self.prev_nbr = [0] * (n + 1)
-        self.dests: list[tuple[int, ...]] = [()] * (n + 1)
-        for p in processes:
-            self.horizon[p.pid] = p.t + 1
-            self.est[p.pid] = p.est
-            self.early[p.pid] = p.early
-            self.prev_nbr[p.pid] = p._prev_nbr
-            self.dests[p.pid] = tuple(j for j in range(1, n + 1) if j != p.pid)
-
-    @classmethod
-    def from_processes(cls, processes: Sequence[SyncProcess]) -> "_EarlyStoppingTable":
-        return cls(processes)
-
-    supports_refill = True
-
-    def refill(self, proposals: Sequence[Any]) -> bool:
-        # Fresh state: est = proposal, early unset, nbr[0] = n; the horizon
-        # and destination tuples are configuration, kept as-is.
-        refill_column(self.est, proposals, offset=1)
-        fill_column(self.early, False, offset=1)
-        fill_column(self.prev_nbr, self.n, offset=1)
-        return True
-
-    def send_phase_all(self, round_no: int, active: Sequence[int]) -> dict[int, SendPlan]:
-        est = self.est
-        early = self.early
-        dests = self.dests
-        return {
-            pid: SendPlan(data=dict.fromkeys(dests[pid], (est[pid], early[pid])))
-            for pid in active
-        }
-
-    def compute_phase_all(
-        self, round_no: int, inboxes: Mapping[int, RoundInbox]
-    ) -> dict[int, Any]:
-        est = self.est
-        early = self.early
-        prev_nbr = self.prev_nbr
-        horizon = self.horizon
-        decisions: dict[int, Any] = {}
-        for pid, inbox in inboxes.items():
-            if early[pid]:
-                # The EARLY broadcast of this round completed: decide it.
-                decisions[pid] = est[pid]
-                continue
-            data = inbox.data
-            nbr = len(data) + 1
-            flagged = False
-            my_est = est[pid]
-            my_key = value_key(my_est)
-            for got, got_early in data.values():
-                key = value_key(got)
-                if key < my_key:
-                    my_est = got
-                    my_key = key
-                if got_early:
-                    flagged = True
-            est[pid] = my_est
-            if round_no == horizon[pid]:
-                decisions[pid] = my_est
-                continue
-            if flagged or nbr == prev_nbr[pid]:
-                early[pid] = True
-            prev_nbr[pid] = nbr
-        return decisions
-
-
 @register_vector_table(EarlyStoppingConsensus)
 class _EarlyStoppingVectorTable(VectorAlgorithm):
-    """Array-columnar early-stopping: int64 ``est``/``nbr``, bool ``early``.
+    """Columnar early-stopping: value ``est``, int64 ``nbr``, bool ``early``.
 
     Every round has a closed form the whole-column state makes one pass.
     The full broadcasts (every sender that did not crash mid-send, and
@@ -198,18 +118,23 @@ class _EarlyStoppingVectorTable(VectorAlgorithm):
     full sender with its flag unset, and its own estimate cannot lower
     the minimum, so only the count drops by one for self.  A crash-free
     round is all full broadcasts; a crash round adds per-receiver fixups
-    for the few receivers the truncated sends reached.  Values are plain
-    int64s, so ``value_key`` is the identity and the minimum is
-    order-free.  Requires plain-int proposals and a uniform horizon;
-    anything else falls back to the list-batched table.
+    for the few receivers the truncated sends reached.  Minima are
+    taken by ``value_key``: on an int64 column that is the numeric
+    minimum, and on an object column the values have passed
+    :func:`~repro.baselines.floodset.key_order`, so equal keys mean
+    indistinguishable values and the minimum is order-free.  Requires a
+    uniform horizon; declines mixed horizons and ambiguous values.
     """
 
-    __slots__ = ("n", "horizon", "est", "early", "prev_nbr", "dests", "_payloads")
+    __slots__ = (
+        "n", "horizon", "est", "early", "prev_nbr", "dests", "_key", "_payloads",
+    )
 
     def __init__(self, n: int, horizon: int, est: Any, early: Any, prev_nbr: Any) -> None:
         self.n = n
         self.horizon = horizon  # uniform t + 1
         self.est = est
+        self._key = None if is_array_column(est) else value_key
         self.early = early
         self.prev_nbr = prev_nbr
         self.dests: list[tuple[int, ...]] = [
@@ -217,7 +142,7 @@ class _EarlyStoppingVectorTable(VectorAlgorithm):
         ]
         # (est, early) -> (payload, bits), interned per run: estimates
         # converge on the minimum, so a run sends few distinct payloads.
-        self._payloads: dict[tuple[int, bool], tuple[tuple[int, bool], int]] = {}
+        self._payloads: dict[tuple[Any, bool], tuple[tuple[Any, bool], int]] = {}
 
     @classmethod
     def from_processes(
@@ -226,26 +151,31 @@ class _EarlyStoppingVectorTable(VectorAlgorithm):
         horizon = processes[0].t + 1
         if any(p.t + 1 != horizon for p in processes):
             return None
-        if not all_int64([p.est for p in processes]):
-            return None
         n = processes[0].n
-        est = [0] * (n + 1)
-        early = [False] * (n + 1)
-        prev_nbr = [0] * (n + 1)
+        est: list[Any] = [None] * n
+        early = [False] * n
+        prev_nbr = [0] * n
         for p in processes:
-            est[p.pid] = p.est
-            early[p.pid] = p.early
-            prev_nbr[p.pid] = p._prev_nbr
+            est[p.pid - 1] = p.est
+            early[p.pid - 1] = p.early
+            prev_nbr[p.pid - 1] = p._prev_nbr
+        if key_order(est) is None:
+            return None
         return cls(
-            n, horizon, int_column(est), bool_column(early), int_column(prev_nbr)
+            n,
+            horizon,
+            value_column(est, offset=1),
+            bool_column(early, offset=1),
+            int_column(prev_nbr, offset=1),
         )
 
     supports_refill = True
 
     def refill(self, proposals: Sequence[Any]) -> bool:
-        if not all_int64(proposals):
-            return False
-        refill_column(self.est, proposals, offset=1)
+        if key_order(proposals) is None:
+            return False  # factory + reset: the table declines these values
+        self.est = refill_value_column(self.est, proposals, offset=1)
+        self._key = None if is_array_column(self.est) else value_key
         fill_column(self.early, False, offset=1)
         fill_column(self.prev_nbr, self.n, offset=1)
         self._payloads.clear()
@@ -266,7 +196,7 @@ class _EarlyStoppingVectorTable(VectorAlgorithm):
             for pid, (payload, bits) in zip(active, entries)
         ]
 
-    def _intern(self, key: tuple[int, Any]) -> tuple[tuple[int, bool], int]:
+    def _intern(self, key: tuple[Any, Any]) -> tuple[tuple[Any, bool], int]:
         """Intern the payload for ``(est, early)`` with its bit width.
 
         The fallback bool column yields 0/1, and ``(e, 1) == (e, True)``
@@ -287,6 +217,7 @@ class _EarlyStoppingVectorTable(VectorAlgorithm):
         est = self.est
         early = self.early
         prev_nbr = self.prev_nbr
+        key = self._key
         ro = receiver_order
         if not ro:
             return {}
@@ -294,16 +225,16 @@ class _EarlyStoppingVectorTable(VectorAlgorithm):
         earlies = take(early, ro)
         # ``views``: receivers a truncated send reached, with their own
         # (estimate, flag, nbr); everyone else shares the folded one.
-        views: dict[int, tuple[int, bool, int]] = {}
+        views: dict[int, tuple[Any, bool, int]] = {}
         if crash_free:
             # Senders == receivers, all full broadcasts.
-            m = min(ests)
+            m = min(ests, key=key)
             flagged = any(earlies)
             nbr = len(ro)
         else:
             full = self.n - 1
             senders = []
-            late: dict[int, list[tuple[int, bool]]] = {}
+            late: dict[int, list[tuple[Any, bool]]] = {}
             for sender, dests, payload, _control, _bits in sends:
                 if len(dests) == full:
                     senders.append(sender)
@@ -312,13 +243,13 @@ class _EarlyStoppingVectorTable(VectorAlgorithm):
                         if d in receivers:
                             late.setdefault(d, []).append(payload)
             # Every receiver is a full sender, so ``senders`` is nonempty.
-            m = min_at(est, senders)
+            m = min_at(est, senders, key=key)
             flagged = any_at(early, senders)
             nbr = len(senders)  # heard from len - 1 others, plus self
             for pid, got in late.items():
                 if not early[pid]:
                     views[pid] = (
-                        min(m, min(e for e, _ in got)),
+                        min([m, *(e for e, _ in got)], key=key),
                         flagged or any(ey for _, ey in got),
                         nbr + len(got),
                     )

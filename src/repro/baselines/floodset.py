@@ -24,37 +24,27 @@ comparable value — comparison uses the wrapped value).
 
 from __future__ import annotations
 
-from typing import Any, Mapping, Sequence
+from typing import Any, Iterable, Sequence
 
 from repro.errors import ConfigurationError
 from repro.net.payload import SizedValue, bit_size
 from repro.sync.api import (
-    EMPTY_INBOX,
     NO_SEND,
-    BatchedAlgorithm,
     RoundInbox,
     SendPlan,
     SyncProcess,
     VectorAlgorithm,
     VectorSend,
-    register_batched_table,
     register_vector_table,
 )
-from repro.util.columns import int64_fits, is_ndarray, or_at, take, uint64_column
-
-#: Fallback-path mask clamp: ``~known`` on Python ints goes negative, the
-#: ``array("Q")`` column only stores 64-bit non-negatives.
-_MASK64 = (1 << 64) - 1
+from repro.util.columns import all_int64, object_column, or_at, take
+from repro.util.tables import refill_column
 
 #: Width of an empty value set: a set payload costs this framing plus the
 #: width of each element (:func:`repro.net.payload.bit_size`).
 _SET_FRAMING_BITS = bit_size(frozenset())
 
-#: Shared "learned nothing" value for the relay column: only ever tested for
-#: emptiness or subtracted from, never mutated in place.
-_NOTHING_NEW: frozenset[Any] = frozenset()
-
-__all__ = ["FloodSetConsensus", "value_key"]
+__all__ = ["FloodSetConsensus", "value_key", "key_order"]
 
 
 def value_key(value: Any) -> Any:
@@ -101,99 +91,62 @@ class FloodSetConsensus(SyncProcess):
             self.decide(min(self.known, key=value_key))
 
 
-@register_batched_table(FloodSetConsensus)
-class _FloodSetTable(BatchedAlgorithm):
-    """Columnar FloodSet: ``known``/``new`` sets in pid-indexed lists.
+def key_order(values: Iterable[Any]) -> list[Any] | None:
+    """The distinct ``values`` in ascending :func:`value_key` order.
 
-    Every process broadcasts to the same (precomputed) destination tuple,
-    so a round's plans are ``dict.fromkeys`` calls instead of per-process
-    dict comprehensions behind a method dispatch.
+    None when a columnar table must not stand in for the reference,
+    whose choice would then depend on set iteration order or fail:
+
+    * two values share a key but can be told apart — ``1``, ``True`` and
+      ``1.0`` (equal, but different types), or ``SizedValue``s of one
+      value and different widths;
+    * keys that are not a strict total order (NaN, incomparable types,
+      partial orders) or values that are unhashable.
     """
+    values = list(values)
+    if all_int64(values):
+        return sorted(set(values))  # plain ints: each value is its own key
+    first: dict[Any, Any] = {}
+    try:
+        for v in values:
+            w = first.setdefault(value_key(v), v)
+            if w is not v and (type(w) is not type(v) or repr(w) != repr(v)):
+                return None
+        universe = sorted(first.values(), key=value_key)
+    except TypeError:
+        return None
+    keys = [value_key(v) for v in universe]
+    if not all(a < b for a, b in zip(keys, keys[1:])):
+        return None
+    return universe
 
-    __slots__ = ("n", "horizon", "known", "new", "dests")
 
-    def __init__(self, processes: Sequence[SyncProcess]) -> None:
-        n = processes[0].n
-        self.n = n
-        self.horizon = [0] * (n + 1)
-        self.known: list[set[Any]] = [set() for _ in range(n + 1)]
-        self.new: list[set[Any]] = [set() for _ in range(n + 1)]
-        self.dests: list[tuple[int, ...]] = [()] * (n + 1)
-        for p in processes:
-            self.horizon[p.pid] = p.horizon
-            self.known[p.pid] = set(p.known)
-            self.new[p.pid] = set(p._new)
-            self.dests[p.pid] = tuple(j for j in range(1, n + 1) if j != p.pid)
-
-    @classmethod
-    def from_processes(cls, processes: Sequence[SyncProcess]) -> "_FloodSetTable":
-        return cls(processes)
-
-    supports_refill = True
-
-    def refill(self, proposals: Sequence[Any]) -> bool:
-        # A fresh FloodSet process starts with W = new = {proposal}; the
-        # horizon and destination tuples are configuration, kept as-is.
-        known = self.known
-        new = self.new
-        for pid, proposal in enumerate(proposals, start=1):
-            known[pid] = {proposal}
-            new[pid] = {proposal}
-        return True
-
-    def send_phase_all(self, round_no: int, active: Sequence[int]) -> dict[int, SendPlan]:
-        plans: dict[int, SendPlan] = {}
-        horizon = self.horizon
-        new = self.new
-        dests = self.dests
-        for pid in active:
-            fresh = new[pid]
-            if round_no > horizon[pid] or not fresh:
-                plans[pid] = NO_SEND
-            else:
-                plans[pid] = SendPlan(
-                    data=dict.fromkeys(dests[pid], frozenset(fresh))
-                )
-        return plans
-
-    def compute_phase_all(
-        self, round_no: int, inboxes: Mapping[int, RoundInbox]
-    ) -> dict[int, Any]:
-        known = self.known
-        new = self.new
-        horizon = self.horizon
-        decisions: dict[int, Any] = {}
-        for pid, inbox in inboxes.items():
-            if inbox is EMPTY_INBOX:
-                new[pid] = _NOTHING_NEW  # W unchanged; stay silent next round
-            else:
-                incoming: set[Any] = set()
-                for values in inbox.data.values():
-                    incoming.update(values)
-                fresh = incoming - known[pid]
-                new[pid] = fresh
-                known[pid] |= fresh
-            if round_no == horizon[pid]:
-                decisions[pid] = min(known[pid], key=value_key)
-        return decisions
+def _same_values(a: list[Any], b: list[Any]) -> bool:
+    """Whether two universes hold indistinguishable values, slot by slot
+    (``==`` alone equates ``0.0`` with ``-0.0`` and ``(1,)`` with ``(True,)``)."""
+    return len(a) == len(b) and all(
+        x is y or (type(x) is type(y) and x == y and repr(x) == repr(y))
+        for x, y in zip(a, b)
+    )
 
 
 @register_vector_table(FloodSetConsensus)
 class _FloodSetVectorTable(VectorAlgorithm):
-    """Bitmask FloodSet: each value set as one uint64 word per process.
+    """Bitmask FloodSet: each value set as one Python-int mask per process.
 
-    Eligible when the run's value universe is at most 64 distinct plain
-    ints (and the horizon is uniform): value → bit position in ascending
-    value order, so set union is bitwise OR, "learned nothing new" is
-    ``incoming & ~known == 0``, and the horizon decision — the minimum of
-    ``W`` — is the lowest set bit.  A round is one OR over the full
-    broadcasts plus whole-column writes; only receivers a crashing
-    sender's truncated send reached get a per-pid fixup.  Payloads decode
-    back to the exact frozensets the object path sends (cached per mask
-    with their bit width, so repeated relays cost a dict hit).  Once a
-    round passes with no speaker nobody can learn anything again, so the
-    table goes *quiet*: no sends, and only the horizon decision, until
-    the next :meth:`refill`.
+    The run's value universe, ordered by :func:`value_key`, maps value →
+    bit position, so set union is bitwise OR, "learned nothing new" is
+    ``incoming & ~known == 0``, and the horizon decision — the minimum
+    of ``W`` — is the lowest set bit.  Masks are Python ints in object
+    columns, so the universe has no size cap.  A round is one OR over
+    the full broadcasts plus one pass over the receivers; only receivers
+    a crashing sender's truncated send reached get a per-pid fixup.
+    Payloads decode back to the exact frozensets the object path sends
+    (cached per mask with their bit width, so repeated relays cost a
+    dict hit).  Once a round passes with no speaker nobody can learn
+    anything again, so the table goes *quiet*: no sends, and only the
+    horizon decision, until the next :meth:`refill`.  Declines on a
+    non-uniform horizon and on universes :func:`key_order` rejects.
     """
 
     __slots__ = (
@@ -201,65 +154,55 @@ class _FloodSetVectorTable(VectorAlgorithm):
         "_widths", "_payloads", "_quiet",
     )
 
-    def __init__(self, n: int, horizon: int, universe: list[int], known: Any, new: Any) -> None:
+    def __init__(self, n: int, horizon: int, universe: list[Any]) -> None:
         self.n = n
         self.horizon = horizon  # uniform t + 1
-        self.universe = universe  # bit -> value, ascending
-        self.bit_of = {v: i for i, v in enumerate(universe)}
-        self._widths = [bit_size(v) for v in universe]
-        self.known = known
-        self.new = new
+        self.known = object_column([0] * n, offset=1)
+        self.new = object_column([0] * n, offset=1)
         self.dests: list[tuple[int, ...]] = [
             tuple(j for j in range(1, n + 1) if j != pid) for pid in range(n + 1)
         ]
-        self._payloads: dict[int, tuple[frozenset[int], int]] = {}
+        self._payloads: dict[int, tuple[frozenset[Any], int]] = {}
+        self._set_universe(universe)
         self._quiet = False
+
+    def _set_universe(self, universe: list[Any]) -> None:
+        self.universe = universe  # bit -> value, ascending value_key
+        self.bit_of = {v: i for i, v in enumerate(universe)}
+        self._widths = [bit_size(v) for v in universe]
+        self._payloads.clear()
 
     @classmethod
     def from_processes(cls, processes: Sequence[SyncProcess]) -> "_FloodSetVectorTable | None":
         horizon = processes[0].horizon
         if any(p.horizon != horizon for p in processes):
             return None
-        values: set[Any] = set()
-        for p in processes:
-            values |= p.known
-        if len(values) > 64 or not all(int64_fits(v) for v in values):
+        universe = key_order(v for p in processes for v in p.known)
+        if universe is None:
             return None
-        universe = sorted(values)
-        bit_of = {v: i for i, v in enumerate(universe)}
-        n = processes[0].n
-        known = [0] * (n + 1)
-        new = [0] * (n + 1)
+        table = cls(processes[0].n, horizon, universe)
+        bit_of = table.bit_of
         for p in processes:
-            for v in p.known:
-                known[p.pid] |= 1 << bit_of[v]
-            for v in p._new:
-                new[p.pid] |= 1 << bit_of[v]
-        return cls(n, horizon, universe, uint64_column(known), uint64_column(new))
+            table.known[p.pid] = sum(1 << bit_of[v] for v in p.known)
+            table.new[p.pid] = sum(1 << bit_of[v] for v in p._new)
+        return table
 
     supports_refill = True
 
     def refill(self, proposals: Sequence[Any]) -> bool:
-        values = set(proposals)
-        if len(values) > 64 or not all(int64_fits(v) for v in values):
-            return False  # universe outgrew the mask: factory + reset instead
-        universe = sorted(values)
-        if universe != self.universe:
-            self.universe = universe
-            self.bit_of = {v: i for i, v in enumerate(universe)}
-            self._widths = [bit_size(v) for v in universe]
-            self._payloads.clear()
+        universe = key_order(proposals)
+        if universe is None:
+            return False  # ambiguous order: factory + reset instead
+        if not _same_values(universe, self.universe):
+            self._set_universe(universe)
+        self._quiet = False
         bit_of = self.bit_of
         masks = [1 << bit_of[v] for v in proposals]
-        known = self.known
-        new = self.new
-        for pid, mask in enumerate(masks, start=1):
-            known[pid] = mask
-            new[pid] = mask
-        self._quiet = False
+        refill_column(self.known, masks, offset=1)
+        refill_column(self.new, masks, offset=1)
         return True
 
-    def _payload(self, mask: int) -> tuple[frozenset[int], int]:
+    def _payload(self, mask: int) -> tuple[frozenset[Any], int]:
         """The frozenset the object path would send for this ``new`` mask,
         with its bit width: a set's framing plus its elements' widths,
         each value sized once per universe."""
@@ -321,7 +264,7 @@ class _FloodSetVectorTable(VectorAlgorithm):
             total = 0
             extra: dict[int, int] = {}
             for sender, dests, _payload, _control, _bits in sends:
-                mask = int(new[sender])
+                mask = new[sender]
                 if len(dests) == full:
                     total |= mask
                 else:
@@ -331,10 +274,7 @@ class _FloodSetVectorTable(VectorAlgorithm):
             if extra:
                 self._or_in(total, [pid for pid in ro if pid not in extra])
                 for pid, mask in extra.items():
-                    k = int(known[pid])
-                    fresh = (total | mask) & ~k
-                    new[pid] = fresh
-                    known[pid] = k | fresh
+                    self._or_in(total | mask, (pid,))
             else:
                 self._or_in(total, ro)
         if round_no != self.horizon:
@@ -346,19 +286,12 @@ class _FloodSetVectorTable(VectorAlgorithm):
             for pid, k in zip(ro, take(known, ro))
         }
 
-    def _or_in(self, total: int, ro: list[int]) -> None:
-        """``fresh = total & ~known; known |= fresh; new = fresh`` columnwise."""
+    def _or_in(self, total: int, pids: Sequence[int]) -> None:
+        """``fresh = total & ~known; known |= fresh; new = fresh`` per pid."""
         known = self.known
         new = self.new
-        if is_ndarray(known):
-            t = known.dtype.type(total)  # a numpy uint64 scalar
-            k = known[ro]
-            fresh = t & ~k
-            new[ro] = fresh
-            known[ro] = k | fresh
-            return
-        for pid in ro:
+        for pid in pids:
             k = known[pid]
-            fresh = total & ~k & _MASK64
+            fresh = total & ~k
             new[pid] = fresh
             known[pid] = k | fresh

@@ -40,29 +40,23 @@ Properties (Theorems 1 and 2): uniform consensus, decision by round
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Any, Mapping, Sequence
+from typing import Any, Sequence
 
 from repro.errors import ModelViolationError
 from repro.net.payload import bit_size
 from repro.sync.api import (
-    EMPTY_INBOX,
     NO_SEND,
-    BatchedAlgorithm,
     RoundInbox,
     SendPlan,
     SyncProcess,
     VectorAlgorithm,
     VectorSend,
-    register_batched_table,
     register_vector_table,
 )
-from repro.util.columns import all_int64, int_column, put
-from repro.util.tables import refill_column
+from repro.util.columns import at, put, value_column
+from repro.util.tables import refill_value_column
 
-__all__ = ["CRWConsensus", "CRWTable", "CRWVectorTable"]
-
-#: Missing-payload sentinel for the table's single-lookup inbox reads.
-_MISS = object()
+__all__ = ["CRWConsensus", "CRWVectorTable", "est_column"]
 
 
 class CRWConsensus(SyncProcess):
@@ -115,87 +109,21 @@ class CRWConsensus(SyncProcess):
             self.decide(self.est)
 
 
-@register_batched_table(CRWConsensus)
-class CRWTable(BatchedAlgorithm):
-    """Columnar Figure-1 table: every ``est`` in one pid-indexed list.
+def est_column(processes: Sequence[SyncProcess]) -> Any:
+    """The processes' ``est`` values as a pid-indexed value column.
 
-    Round ``r`` of the algorithm touches one coordinator plan and, per
-    receiver, two inbox membership tests and at most one adoption — none
-    of which needs a per-process method dispatch.  The table mirrors
-    :class:`CRWConsensus` hook for hook (same plans, same adoptions, same
-    model-violation errors), which the batched parity grid pins.
+    Slot 0 is unused.  Plain int64 estimates get an int64 column, any
+    other value type an object column (:func:`repro.util.columns.value_column`).
     """
-
-    __slots__ = ("n", "est")
-
-    def __init__(self, n: int, est: list[Any]) -> None:
-        self.n = n
-        self.est = est  # pid-indexed (slot 0 unused)
-
-    @classmethod
-    def from_processes(cls, processes: Sequence[SyncProcess]) -> "CRWTable":
-        est: list[Any] = [None] * (processes[0].n + 1)
-        for p in processes:
-            est[p.pid] = p.est
-        return cls(processes[0].n, est)
-
-    supports_refill = True
-
-    def refill(self, proposals: Sequence[Any]) -> bool:
-        # A fresh Figure-1 process is just est = proposal; the est column
-        # is the table's only run-varying state (ablation subclasses reuse
-        # this — their extra behaviour lives in the hooks, not in state).
-        refill_column(self.est, proposals, offset=1)
-        return True
-
-    def send_phase_all(self, round_no: int, active: Sequence[int]) -> dict[int, SendPlan]:
-        if active and active[0] < round_no:
-            # Mirrors the per-process guard, raised for the same (lowest
-            # active) pid the per-process loop would have reached first.
-            raise ModelViolationError(
-                f"p{active[0]} reached round {round_no} > own id; "
-                "coordinators decide or crash at their own round (Figure 1: 'cannot happen')"
-            )
-        plans = dict.fromkeys(active, NO_SEND)
-        if round_no in plans:
-            plans[round_no] = SendPlan(
-                data=dict.fromkeys(
-                    range(round_no + 1, self.n + 1), self.est[round_no]
-                ),
-                control=tuple(range(self.n, round_no, -1)),
-            )
-        return plans
-
-    def compute_phase_all(
-        self, round_no: int, inboxes: Mapping[int, RoundInbox]
-    ) -> dict[int, Any]:
-        est = self.est
-        decisions: dict[int, Any] = {}
-        for pid, inbox in inboxes.items():
-            if inbox is EMPTY_INBOX:
-                # An empty inbox only matters to the coordinator (line 6:
-                # it decides its own estimate regardless of receipt).
-                if pid == round_no:
-                    decisions[pid] = est[pid]
-                continue
-            if pid == round_no:
-                decisions[pid] = est[pid]  # line 6: coordinator decides
-                continue
-            value = inbox.data.get(round_no, _MISS)
-            if value is not _MISS:  # line 7: adopt the coordinator's estimate
-                est[pid] = value
-                if round_no in inbox.control:  # line 8: locked -> decide
-                    decisions[pid] = value
-            elif round_no in inbox.control:
-                raise ModelViolationError(
-                    f"p{pid}: COMMIT from p{round_no} without its DATA in round {round_no}"
-                )
-        return decisions
+    est: list[Any] = [None] * processes[0].n
+    for p in processes:
+        est[p.pid - 1] = p.est
+    return value_column(est, offset=1)
 
 
 @register_vector_table(CRWConsensus)
 class CRWVectorTable(VectorAlgorithm):
-    """Array-columnar Figure-1 table: ``est`` as one int64 column.
+    """Columnar Figure-1 table: ``est`` as one value column.
 
     Round ``r`` is a single coordinator send — one :data:`VectorSend`
     with contiguous ``range`` destinations — and, crash-free, a closed
@@ -210,24 +138,19 @@ class CRWVectorTable(VectorAlgorithm):
 
     def __init__(self, n: int, est: Any) -> None:
         self.n = n
-        self.est = est  # pid-indexed int64 column (slot 0 unused)
+        self.est = est  # pid-indexed value column (slot 0 unused)
 
     @classmethod
-    def from_processes(cls, processes: Sequence[SyncProcess]) -> "CRWVectorTable | None":
-        values = [p.est for p in processes]
-        if not all_int64(values):
-            return None  # non-int payloads: step list-batched instead
-        est = int_column([0] * (processes[0].n + 1))
-        for p in processes:
-            est[p.pid] = p.est
-        return cls(processes[0].n, est)
+    def from_processes(cls, processes: Sequence[SyncProcess]) -> "CRWVectorTable":
+        return cls(processes[0].n, est_column(processes))
 
     supports_refill = True
 
     def refill(self, proposals: Sequence[Any]) -> bool:
-        if not all_int64(proposals):
-            return False  # fall back to factory + reset (mode re-detected)
-        refill_column(self.est, proposals, offset=1)
+        # A fresh Figure-1 process is just est = proposal; the est column
+        # is the table's only run-varying state (the ablation tables
+        # reuse this — their extra behaviour lives in the hooks).
+        self.est = refill_value_column(self.est, proposals, offset=1)
         return True
 
     def send_phase_vector(self, round_no: int, active: Sequence[int]) -> list[VectorSend]:
@@ -244,7 +167,7 @@ class CRWVectorTable(VectorAlgorithm):
         control = range(self.n, round_no, -1)
         if not data:  # p_n's round: nobody above it to tell
             return []
-        value = int(self.est[round_no])
+        value = at(self.est, round_no)
         return [(round_no, data, value, control, bit_size(value))]
 
     def compute_phase_vector(
@@ -261,7 +184,7 @@ class CRWVectorTable(VectorAlgorithm):
         if not sends:
             # Nothing escaped (dead coordinator, or p_n's empty round).
             if coord_alive:
-                decisions[round_no] = int(est[round_no])  # line 6
+                decisions[round_no] = at(est, round_no)  # line 6
             return decisions
         _sender, dests, value, control, _bits = sends[0]
         if crash_free:

@@ -25,24 +25,21 @@ These exist to make the *limit* half of the paper executable:
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import Any, Mapping, Sequence
+from typing import Any, Sequence
 
-from repro.core.crw import CRWConsensus, CRWTable, CRWVectorTable
+from repro.core.crw import CRWConsensus, CRWVectorTable, est_column
 from repro.net.payload import bit_size
 from repro.sync.api import (
-    EMPTY_INBOX,
     NO_SEND,
-    BatchedAlgorithm,
     RoundInbox,
     SendPlan,
     SyncProcess,
     VectorAlgorithm,
     VectorSend,
-    register_batched_table,
     register_vector_table,
 )
-from repro.util.columns import all_int64, int_column, put
-from repro.util.tables import refill_column
+from repro.util.columns import at, put
+from repro.util.tables import refill_value_column
 
 __all__ = ["EagerCRW", "TruncatedCRW", "IncreasingCommitCRW", "FullBroadcastCRW", "SilentProcess"]
 
@@ -172,162 +169,10 @@ class SilentProcess(SyncProcess):
 
 
 # ---------------------------------------------------------------------------
-# Columnar tables (batched stepping).  Each mirrors its per-process class
-# hook for hook; the batched parity grid pins the equivalence.
-# ---------------------------------------------------------------------------
-
-
-@register_batched_table(EagerCRW)
-class _EagerCRWTable(CRWTable):
-    """CRW table minus the line-8 COMMIT guard."""
-
-    __slots__ = ()
-
-    def compute_phase_all(
-        self, round_no: int, inboxes: Mapping[int, RoundInbox]
-    ) -> dict[int, Any]:
-        est = self.est
-        decisions: dict[int, Any] = {}
-        for pid, inbox in inboxes.items():
-            if inbox is EMPTY_INBOX:
-                if pid == round_no:
-                    decisions[pid] = est[pid]
-            elif pid == round_no:
-                decisions[pid] = est[pid]
-            elif round_no in inbox.data:
-                est[pid] = inbox.data[round_no]
-                decisions[pid] = est[pid]  # eager: no COMMIT check
-        return decisions
-
-
-@register_batched_table(IncreasingCommitCRW)
-class _IncreasingCommitCRWTable(CRWTable):
-    """CRW table with the COMMIT sequence ascending instead of descending."""
-
-    __slots__ = ()
-
-    def send_phase_all(self, round_no: int, active: Sequence[int]) -> dict[int, SendPlan]:
-        plans = super().send_phase_all(round_no, active)
-        plan = plans.get(round_no)
-        if plan is not None and plan.control:
-            plans[round_no] = SendPlan(
-                data=plan.data, control=tuple(sorted(plan.control))
-            )
-        return plans
-
-
-@register_batched_table(FullBroadcastCRW)
-class _FullBroadcastCRWTable(CRWTable):
-    """CRW table with DATA and COMMIT addressed to every other process."""
-
-    __slots__ = ()
-
-    def send_phase_all(self, round_no: int, active: Sequence[int]) -> dict[int, SendPlan]:
-        plans = super().send_phase_all(round_no, active)
-        if round_no in plans:
-            others = [j for j in range(1, self.n + 1) if j != round_no]
-            plans[round_no] = SendPlan(
-                data=dict.fromkeys(others, self.est[round_no]),
-                control=tuple(sorted(others, reverse=True)),
-            )
-        return plans
-
-
-@register_batched_table(TruncatedCRW)
-class _TruncatedCRWTable(BatchedAlgorithm):
-    """Columnar TruncatedCRW: ``est`` plus the per-process deadline ``k``."""
-
-    supports_refill = True
-
-    __slots__ = ("n", "est", "k")
-
-    def refill(self, proposals: Sequence[Any]) -> bool:
-        # The deadline column ``k`` is configuration (params + t), fixed
-        # across a lease; only the estimates vary run to run.
-        refill_column(self.est, proposals, offset=1)
-        return True
-
-    def __init__(self, n: int, est: list[Any], k: list[int]) -> None:
-        self.n = n
-        self.est = est
-        self.k = k
-
-    @classmethod
-    def from_processes(cls, processes: Sequence[SyncProcess]) -> "_TruncatedCRWTable":
-        n = processes[0].n
-        est: list[Any] = [None] * (n + 1)
-        k: list[int] = [0] * (n + 1)
-        for p in processes:
-            est[p.pid] = p.est
-            k[p.pid] = p.k
-        return cls(n, est, k)
-
-    def send_phase_all(self, round_no: int, active: Sequence[int]) -> dict[int, SendPlan]:
-        # No 'cannot happen' guard: truncation lets processes outlive their
-        # own coordinator round (they just stay silent there).
-        plans = dict.fromkeys(active, NO_SEND)
-        if round_no in plans:
-            plans[round_no] = SendPlan(
-                data=dict.fromkeys(
-                    range(round_no + 1, self.n + 1), self.est[round_no]
-                ),
-                control=tuple(range(self.n, round_no, -1)),
-            )
-        return plans
-
-    def compute_phase_all(
-        self, round_no: int, inboxes: Mapping[int, RoundInbox]
-    ) -> dict[int, Any]:
-        est = self.est
-        k = self.k
-        decisions: dict[int, Any] = {}
-        for pid, inbox in inboxes.items():
-            if inbox is EMPTY_INBOX:
-                # Nothing received: the coordinator still decides, and the
-                # deadline still fires for everyone at round >= k.
-                if pid == round_no or round_no >= k[pid]:
-                    decisions[pid] = est[pid]
-                continue
-            if pid == round_no:
-                decisions[pid] = est[pid]
-                continue
-            if round_no in inbox.data:
-                est[pid] = inbox.data[round_no]
-            if round_no in inbox.control or round_no >= k[pid]:
-                decisions[pid] = est[pid]
-        return decisions
-
-
-@register_batched_table(SilentProcess)
-class _SilentTable(BatchedAlgorithm):
-    """Silent processes: all-NO_SEND plans, no decisions, no state."""
-
-    supports_refill = True
-
-    __slots__ = ()
-
-    def refill(self, proposals: Sequence[Any]) -> bool:
-        return True  # stateless: nothing to rewrite
-
-    @classmethod
-    def from_processes(cls, processes: Sequence[SyncProcess]) -> "_SilentTable":
-        return cls()
-
-    def send_phase_all(self, round_no: int, active: Sequence[int]) -> dict[int, SendPlan]:
-        return dict.fromkeys(active, NO_SEND)
-
-    def compute_phase_all(
-        self, round_no: int, inboxes: Mapping[int, RoundInbox]
-    ) -> dict[int, Any]:
-        return {}
-
-
-# ---------------------------------------------------------------------------
-# Vector tables (array-columnar stepping).  The CRW-shaped variants subclass
-# :class:`~repro.core.crw.CRWVectorTable` and override only their delta, like
-# the batched tables above; the vector parity grid pins all of them against
-# the per-process classes.  SilentProcess keeps no vector table (its batched
-# table is already O(1) per round).
+# Vector tables.  The CRW-shaped variants subclass
+# :class:`~repro.core.crw.CRWVectorTable` and override only their delta; the
+# vector parity grid pins all of them against the per-process classes.
+# SilentProcess, a spec-checker fixture, steps per process.
 # ---------------------------------------------------------------------------
 
 
@@ -354,7 +199,7 @@ class _EagerCRWVectorTable(CRWVectorTable):
         est = self.est
         decisions: dict[int, Any] = {}
         if round_no in receivers:
-            decisions[round_no] = int(est[round_no])
+            decisions[round_no] = at(est, round_no)
         if not sends:
             return decisions
         _sender, dests, value, _control, _bits = sends[0]
@@ -397,7 +242,7 @@ class _FullBroadcastCRWVectorTable(CRWVectorTable):
         # p_n's round: the base table goes silent (nobody above), the
         # broadcast variant still addresses 1..n-1.
         if sends or (active and active[0] == round_no == self.n):
-            value = int(self.est[round_no])
+            value = at(self.est, round_no)
             others = tuple(j for j in range(1, self.n + 1) if j != round_no)
             sends = [(round_no, others, value, others[::-1], bit_size(value))]
         return sends
@@ -405,18 +250,18 @@ class _FullBroadcastCRWVectorTable(CRWVectorTable):
 
 @register_vector_table(TruncatedCRW)
 class _TruncatedCRWVectorTable(VectorAlgorithm):
-    """Array-columnar TruncatedCRW: int64 ``est`` plus a uniform deadline.
+    """Columnar TruncatedCRW: a value column ``est`` plus a uniform deadline.
 
-    Only uniform-``k`` tables vectorize (one scalar deadline instead of a
+    Only uniform-``k`` tables engage (one scalar deadline instead of a
     per-pid column keeps the whole-column round closed-form); mixed-``k``
-    process sets fall back to the list-batched table.
+    process sets step per process.
     """
 
     __slots__ = ("n", "est", "k")
 
     def __init__(self, n: int, est: Any, k: int) -> None:
         self.n = n
-        self.est = est  # pid-indexed int64 column (slot 0 unused)
+        self.est = est  # pid-indexed value column (slot 0 unused)
         self.k = k
 
     @classmethod
@@ -426,20 +271,14 @@ class _TruncatedCRWVectorTable(VectorAlgorithm):
         k = processes[0].k
         if any(p.k != k for p in processes):
             return None
-        values = [p.est for p in processes]
-        if not all_int64(values):
-            return None
-        est = int_column([0] * (processes[0].n + 1))
-        for p in processes:
-            est[p.pid] = p.est
-        return cls(processes[0].n, est, k)
+        return cls(processes[0].n, est_column(processes), k)
 
     supports_refill = True
 
     def refill(self, proposals: Sequence[Any]) -> bool:
-        if not all_int64(proposals):
-            return False
-        refill_column(self.est, proposals, offset=1)
+        # The deadline ``k`` is configuration (params + t), fixed across
+        # a lease; only the estimates vary run to run.
+        self.est = refill_value_column(self.est, proposals, offset=1)
         return True
 
     def send_phase_vector(self, round_no: int, active: Sequence[int]) -> list[VectorSend]:
@@ -451,7 +290,7 @@ class _TruncatedCRWVectorTable(VectorAlgorithm):
         data = range(round_no + 1, self.n + 1)
         if not data:
             return []
-        value = int(self.est[round_no])
+        value = at(self.est, round_no)
         return [(round_no, data, value, range(self.n, round_no, -1), bit_size(value))]
 
     def compute_phase_vector(
@@ -472,7 +311,7 @@ class _TruncatedCRWVectorTable(VectorAlgorithm):
             put(est, followers, value)
             for pid in receiver_order[:pos]:  # at/below the coordinator
                 if pid == round_no or deadline:
-                    decisions[pid] = int(est[pid])
+                    decisions[pid] = at(est, pid)
             decisions.update(dict.fromkeys(followers, value))  # COMMIT held
             return decisions
         if not sends:
@@ -480,7 +319,7 @@ class _TruncatedCRWVectorTable(VectorAlgorithm):
             # slot and the deadline can decide, on unchanged estimates.
             for pid in receiver_order:
                 if pid == round_no or deadline:
-                    decisions[pid] = int(est[pid])
+                    decisions[pid] = at(est, pid)
             return decisions
         # Crash round with a (possibly truncated) coordinator send.
         _sender, dests, value, control, _bits = sends[0]
@@ -490,5 +329,5 @@ class _TruncatedCRWVectorTable(VectorAlgorithm):
             put(est, sorted(got_data), value)
         for pid in receiver_order:
             if pid == round_no or pid in got_control or deadline:
-                decisions[pid] = int(est[pid])  # post-adoption estimate
+                decisions[pid] = at(est, pid)  # post-adoption estimate
         return decisions

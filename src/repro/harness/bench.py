@@ -47,7 +47,7 @@ Kernels (via the scenario layer):
 * ``service_p99_latency`` — an open-loop run through a leader-kill
   storm: rotation + fencing + retry/dedup on the hot path, asserting
   the exactly-once report stays clean;
-* ``vec_cascade_n128`` — the cascade scenario with ``batched="vector"``
+* ``vec_cascade_n128`` — the cascade scenario with ``batched=True``
   pinned: PR 9's whole-column stepping kernel (numpy state columns when
   numpy is importable, stdlib ``array`` otherwise — byte-identical
   records either way, see ``tests/sync/test_vector_parity.py``);
@@ -144,7 +144,7 @@ def _kernel_vec_cascade_n128() -> None:
 
     record = execute(Scenario(algorithm="crw", n=128, t=127, f=16,
                               adversary="coordinator-killer", seed=0),
-                     batched="vector")
+                     batched=True)
     assert record.last_decision_round == 17
 
 

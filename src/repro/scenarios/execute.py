@@ -22,6 +22,7 @@ from repro.errors import ConfigurationError
 from repro.scenarios.record import RunRecord
 from repro.scenarios.registry import ADVERSARIES, ALGORITHMS, WORKLOADS, AlgorithmDef
 from repro.scenarios.scenario import Scenario
+from repro.sync.engine import check_batched
 from repro.util.rng import RandomSource
 
 __all__ = ["execute", "resolved_t", "delay_model_from", "EngineLease"]
@@ -65,7 +66,7 @@ class EngineLease:
         return len(self._engines)
 
     @staticmethod
-    def key_for(scenario: Scenario, trace: bool, batched: bool | str | None) -> tuple:
+    def key_for(scenario: Scenario, trace: bool, batched: bool | None) -> tuple:
         """The cache key: the full non-seed configuration, cheaply hashable.
 
         ``repr`` flattens the (JSON-typed, possibly nested) dict fields
@@ -174,6 +175,18 @@ def delay_model_from(timing: dict[str, Any]):
     )
 
 
+def _check_param_keys(params: dict[str, Any], accepted: frozenset[str] | None, owner: str) -> None:
+    """Reject parameter keys ``owner`` does not read (None: undeclared)."""
+    if accepted is None:
+        return
+    unknown = set(params) - accepted
+    if unknown:
+        raise ConfigurationError(
+            f"unknown parameter key(s) {sorted(unknown)} for {owner}; "
+            f"accepted: {sorted(accepted)}"
+        )
+
+
 def _timed_crashes(scenario: Scenario, n: int, t: int, rng: RandomSource):
     adv = ADVERSARIES.get(scenario.adversary)
     if adv.make_timed is None:
@@ -189,25 +202,29 @@ def execute(
     scenario: Scenario,
     *,
     trace: bool = False,
-    batched: bool | str | None = None,
+    batched: bool | None = None,
     lease: EngineLease | None = None,
 ) -> RunRecord:
     """Run one scenario on its backend and return the normalized record.
 
-    ``batched`` is forwarded to the engines (None = auto: the fastest
-    eligible stepping mode — with tracing off, the synchronous engines
-    prefer a registered vector table, then the list-batched columnar
-    table, then per-process stepping.  ``"vector"`` requires the vector
-    table, ``True`` the list-batched one, and ``False`` forces
-    per-process/per-object stepping — the parity grids compare the
-    modes).  The ``ffd`` backend ignores it.
+    ``batched`` is forwarded to the engines and takes one value set on
+    every backend: ``None`` (auto) steps through the algorithm's
+    columnar table where one engages (on the synchronous engines only
+    with tracing off), ``True`` requires that table and raises when it
+    is unavailable, and ``False`` forces per-process/per-object stepping
+    — the parity grids compare the two.  Any other value raises.  The
+    ``ffd`` backend has no table and ignores it.
 
     ``lease`` opts into engine reuse: runs whose non-seed configuration
     matches a previous run through the same :class:`EngineLease` reset
     that run's engine instead of constructing a new one.  Records are
     identical either way; sweeps hold a lease per chunk.
     """
+    check_batched(batched)
     algo = ALGORITHMS.get(scenario.algorithm)
+    _check_param_keys(
+        scenario.params, algo.param_keys, f"algorithm {scenario.algorithm!r}"
+    )
     if scenario.model is not None and scenario.model != algo.backend:
         raise ConfigurationError(
             f"scenario pins model {scenario.model!r} but algorithm "
@@ -221,11 +238,24 @@ def execute(
 
     rng = RandomSource(scenario.seed)
     workload = WORKLOADS.get(scenario.workload)
+    _check_param_keys(
+        scenario.workload_params, workload.param_keys,
+        f"workload {scenario.workload!r}",
+    )
     proposals = workload.build(n, rng.spawn("workload"), dict(scenario.workload_params))
     if len(proposals) != n:
         raise ConfigurationError(
             f"workload {scenario.workload!r} produced {len(proposals)} proposals for n={n}"
         )
+    try:
+        hash(tuple(proposals))
+    except TypeError as exc:
+        # The consensus checks collect proposals in sets: fail here, not
+        # after a whole engine run.
+        raise ConfigurationError(
+            f"workload {scenario.workload!r} produced an unhashable proposal "
+            f"({exc}); consensus values must be hashable"
+        ) from None
 
     if algo.backend in ("extended", "classic"):
         return _execute_sync(scenario, algo, n, t, proposals, rng, trace, batched, lease)
@@ -249,7 +279,7 @@ def _execute_sync(
     proposals: list[Any],
     rng: RandomSource,
     trace: bool,
-    batched: bool | str | None = None,
+    batched: bool | None = None,
     lease: EngineLease | None = None,
 ) -> RunRecord:
     from repro.sync.engine import ClassicSynchronousEngine
@@ -273,7 +303,7 @@ def _execute_sync(
     if lease is not None:
         key = EngineLease.key_for(scenario, trace, batched)
         engine = lease.get(key)
-    # A leased engine with a refillable batched table takes the run with
+    # A leased engine with a refillable vector table takes the run with
     # no process construction at all: the table columns are rewritten in
     # place from the proposals.  Only when that is declined does the
     # n-object factory run (fresh construction or full reset).
@@ -340,11 +370,6 @@ def _execute_async(
     from repro.asyncsim.failure_detector import DetectorSpec
     from repro.asyncsim.runner import AsyncCrash, AsyncRunner
 
-    if batched == "vector":
-        raise ConfigurationError(
-            f'batched="vector" is synchronous-only; algorithm '
-            f"{scenario.algorithm!r} runs on the async backend"
-        )
     timing = dict(scenario.timing)
     _check_timing_keys(timing, "async")
     crashes = [

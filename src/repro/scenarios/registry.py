@@ -107,7 +107,10 @@ class AlgorithmDef:
     own processes inside :func:`repro.ffd.consensus.run_ffd_consensus`).
     ``spec`` optionally overrides the default uniform-consensus check for
     algorithms whose decision values are not proposals (interactive
-    consistency decides vectors).
+    consistency decides vectors).  ``param_keys`` declares the
+    ``Scenario.params`` keys the factory reads;
+    :func:`~repro.scenarios.execute.execute` rejects any other key.
+    ``None`` leaves the keys unchecked (registrations that declare none).
     """
 
     name: str
@@ -117,6 +120,7 @@ class AlgorithmDef:
     default_t: Callable[[int], int] = lambda n: n - 1
     spec: Callable[[Any], list[str]] | None = None
     description: str = ""
+    param_keys: frozenset[str] | None = None
 
     def __post_init__(self) -> None:
         if self.backend not in BACKENDS:
@@ -145,11 +149,30 @@ class AdversaryDef:
 
 @dataclass(frozen=True)
 class WorkloadDef:
-    """A named proposal-vector generator: ``build(n, rng, params)``."""
+    """A named proposal-vector generator: ``build(n, rng, params)``.
+
+    ``param_keys`` declares the ``Scenario.workload_params`` keys
+    ``build`` reads (``None``: unchecked), as on :class:`AlgorithmDef`.
+    """
 
     name: str
     build: Callable[[int, RandomSource, dict[str, Any]], list[Any]]
     description: str = ""
+    param_keys: frozenset[str] | None = None
+
+
+def _number_param(
+    params: dict[str, Any], key: str, default: Any, kind: type, owner: str
+) -> Any:
+    """``kind(params.get(key, default))``, raising ConfigurationError if it fails."""
+    value = params.get(key, default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ConfigurationError(
+            f"{owner}: parameter {key!r} must be {kind.__name__}-valued, "
+            f"got {value!r}"
+        ) from None
 
 
 ALGORITHMS: Registry[AlgorithmDef] = Registry("algorithm")
@@ -196,6 +219,7 @@ def _register_builtin_algorithms() -> None:
     )
 
     majority_t = lambda n: max(0, (n - 1) // 2)  # noqa: E731
+    no_params: frozenset[str] = frozenset()
 
     def crw_like(cls):
         return lambda n, t, props, params: [
@@ -213,6 +237,7 @@ def _register_builtin_algorithms() -> None:
         factory=crw_like(CRWConsensus),
         round_bound=lambda f, t: f + 1,
         description="the paper's Figure-1 algorithm (f+1 rounds, extended model)",
+        param_keys=no_params,
     ))
     register_algorithm(AlgorithmDef(
         name="eager-crw",
@@ -220,22 +245,28 @@ def _register_builtin_algorithms() -> None:
         factory=crw_like(EagerCRW),
         round_bound=lambda f, t: f + 1,
         description="ablation: decides on DATA alone (agreement breaks under crashes)",
+        param_keys=no_params,
     ))
     register_algorithm(AlgorithmDef(
         name="truncated-crw",
         backend="extended",
         factory=lambda n, t, props, params: [
-            TruncatedCRW(pid, n, props[pid - 1], k=int(params.get("k", t)))
+            TruncatedCRW(
+                pid, n, props[pid - 1],
+                k=_number_param(params, "k", t, int, "algorithm 'truncated-crw'"),
+            )
             for pid in range(1, n + 1)
         ],
         round_bound=lambda f, t: t,  # the (impossible) deadline it enforces
         description="ablation: force-decides at round k (params: k, default t)",
+        param_keys=frozenset({"k"}),
     ))
     register_algorithm(AlgorithmDef(
         name="increasing-commit-crw",
         backend="extended",
         factory=crw_like(IncreasingCommitCRW),
         description="ablation: COMMIT order reversed (safe, loses the f+1 bound)",
+        param_keys=no_params,
     ))
     register_algorithm(AlgorithmDef(
         name="full-broadcast-crw",
@@ -243,6 +274,7 @@ def _register_builtin_algorithms() -> None:
         factory=crw_like(FullBroadcastCRW),
         round_bound=lambda f, t: f + 1,
         description="ablation: coordinator broadcasts to everyone (extra traffic)",
+        param_keys=no_params,
     ))
     register_algorithm(AlgorithmDef(
         name="floodset",
@@ -250,6 +282,7 @@ def _register_builtin_algorithms() -> None:
         factory=classic_with_t(FloodSetConsensus),
         round_bound=lambda f, t: t + 1,
         description="textbook flooding consensus (t+1 rounds, classic model)",
+        param_keys=no_params,
     ))
     register_algorithm(AlgorithmDef(
         name="early-stopping",
@@ -257,6 +290,7 @@ def _register_builtin_algorithms() -> None:
         factory=classic_with_t(EarlyStoppingConsensus),
         round_bound=lambda f, t: min(f + 2, t + 1),
         description="early-stopping classic consensus (min(f+2, t+1) rounds)",
+        param_keys=no_params,
     ))
     register_algorithm(AlgorithmDef(
         name="interactive-consistency",
@@ -265,6 +299,7 @@ def _register_builtin_algorithms() -> None:
         round_bound=lambda f, t: t + 1,
         spec=lambda result: check_interactive_consistency(result),
         description="flooding IC: agree on the full proposal vector (t+1 rounds)",
+        param_keys=no_params,
     ))
     register_algorithm(AlgorithmDef(
         name="ic-consensus",
@@ -272,6 +307,7 @@ def _register_builtin_algorithms() -> None:
         factory=classic_with_t(ICConsensus),
         round_bound=lambda f, t: t + 1,
         description="the IC -> consensus reduction (decide the minimum entry)",
+        param_keys=no_params,
     ))
     register_algorithm(AlgorithmDef(
         name="mr99",
@@ -279,6 +315,7 @@ def _register_builtin_algorithms() -> None:
         factory=classic_with_t(MR99Consensus),
         default_t=majority_t,
         description="Mostefaoui-Raynal ◇S consensus (async, t < n/2)",
+        param_keys=no_params,
     ))
     register_algorithm(AlgorithmDef(
         name="chandra-toueg",
@@ -286,6 +323,7 @@ def _register_builtin_algorithms() -> None:
         factory=classic_with_t(ChandraTouegConsensus),
         default_t=majority_t,
         description="Chandra-Toueg ◇S consensus (async, t < n/2)",
+        param_keys=no_params,
     ))
     register_algorithm(AlgorithmDef(
         name="ffd",
@@ -293,6 +331,7 @@ def _register_builtin_algorithms() -> None:
         factory=None,
         default_t=lambda n: n - 1,
         description="fast-failure-detector consensus, decides by D + f*d (ALT02)",
+        param_keys=no_params,
     ))
 
 
@@ -352,36 +391,48 @@ def _register_builtin_adversaries() -> None:
 def _register_builtin_workloads() -> None:
     from repro.workloads import proposals as P
 
+    def num(params, key, default, kind, workload):
+        return _number_param(params, key, default, kind, f"workload {workload!r}")
+
     register_workload(WorkloadDef(
         name="distinct-ints",
-        build=lambda n, rng, params: P.distinct_ints(n, base=int(params.get("base", 100))),
+        build=lambda n, rng, params: P.distinct_ints(
+            n, base=num(params, "base", 100, int, "distinct-ints")
+        ),
         description="everyone proposes a distinct int (base+pid)",
+        param_keys=frozenset({"base"}),
     ))
     register_workload(WorkloadDef(
         name="sized",
         build=lambda n, rng, params: P.sized_proposals(
-            n, bits=int(params.get("bits", 64)), base=int(params.get("base", 100))
+            n,
+            bits=num(params, "bits", 64, int, "sized"),
+            base=num(params, "base", 100, int, "sized"),
         ),
         description="distinct values with a declared wire width (params: bits)",
+        param_keys=frozenset({"bits", "base"}),
     ))
     register_workload(WorkloadDef(
         name="identical",
         build=lambda n, rng, params: P.identical(n, value=params.get("value", 7)),
         description="everyone proposes the same value",
+        param_keys=frozenset({"value"}),
     ))
     register_workload(WorkloadDef(
         name="binary",
         build=lambda n, rng, params: P.binary_vector(
-            n, rng, p_one=float(params.get("p_one", 0.5))
+            n, rng, p_one=num(params, "p_one", 0.5, float, "binary")
         ),
         description="random 0/1 proposals (params: p_one)",
+        param_keys=frozenset({"p_one"}),
     ))
     register_workload(WorkloadDef(
         name="skewed",
         build=lambda n, rng, params: P.skewed(
-            n, rng, alphabet=int(params.get("alphabet", 3))
+            n, rng, alphabet=num(params, "alphabet", 3, int, "skewed")
         ),
         description="small-alphabet random proposals (params: alphabet)",
+        param_keys=frozenset({"alphabet"}),
     ))
 
 

@@ -34,10 +34,6 @@ __all__ = [
     "SyncProcess",
     "NO_SEND",
     "EMPTY_INBOX",
-    "BatchedAlgorithm",
-    "register_batched_table",
-    "batched_table_for",
-    "batched_table_refillable",
     "VectorSend",
     "VectorAlgorithm",
     "register_vector_table",
@@ -152,9 +148,7 @@ class RoundInbox:
 
 #: Shared inbox for receivers that heard nothing this round: frozensets are
 #: immutable and the data view is a read-only mapping proxy, so every such
-#: receiver can hold the same object without aliasing risk.  Batched tables
-#: identity-test against it to skip no-op receivers without touching the
-#: inbox's attributes.
+#: receiver can hold the same object without aliasing risk.
 EMPTY_INBOX = RoundInbox(data=MappingProxyType({}), control=frozenset())
 
 
@@ -224,122 +218,7 @@ class SyncProcess(abc.ABC):
 
 
 # ---------------------------------------------------------------------------
-# Batched stepping: whole-table hooks over columnar process state.
-# ---------------------------------------------------------------------------
-
-
-class BatchedAlgorithm(abc.ABC):
-    """Columnar drop-in for a whole table of same-typed processes.
-
-    Engines normally drive one :class:`SyncProcess` at a time — two method
-    calls per (process, round).  An algorithm can additionally ship a
-    *batched table*: one object holding every process's state in parallel
-    lists, stepped with two calls per **round**.  The engine detects the
-    capability (see :func:`batched_table_for`) and runs the whole round
-    through it; everything downstream of the hooks — crash resolution,
-    delivery, accounting, tracing — is shared with per-process stepping,
-    so the two modes are observably identical
-    (``tests/sync/test_batched_parity.py`` pins this).
-
-    Contract (parity with per-process stepping depends on all three):
-
-    * :meth:`send_phase_all` returns a plan for **every** pid in
-      ``active``, in ``active`` order (``dict.fromkeys(active, NO_SEND)``
-      gives both for the common mostly-silent round), and must behave
-      exactly like calling ``send_phase`` on each process in that order —
-      including raising the same model violations;
-    * :meth:`compute_phase_all` consumes the engine-built inboxes (one
-      per surviving receiver, in ascending pid order) and returns the
-      round's new decisions ``{pid: value}`` in the order they were made;
-    * the table is the *authoritative* copy of algorithm state while the
-      engine steps in batched mode; the engine mirrors decisions back to
-      the process objects, but other per-process attributes (estimates,
-      value sets) are not kept in sync mid-run.
-    """
-
-    @classmethod
-    @abc.abstractmethod
-    def from_processes(cls, processes: Sequence[SyncProcess]) -> "BatchedAlgorithm":
-        """Build the columnar table from freshly constructed processes."""
-
-    @abc.abstractmethod
-    def send_phase_all(self, round_no: int, active: Sequence[int]) -> dict[int, SendPlan]:
-        """Plans for every active pid (silent processes map to NO_SEND)."""
-
-    @abc.abstractmethod
-    def compute_phase_all(
-        self, round_no: int, inboxes: Mapping[int, RoundInbox]
-    ) -> dict[int, Any]:
-        """Consume the round's inboxes; return new decisions ``{pid: value}``."""
-
-    #: Refill capability advertisement: tables that implement :meth:`refill`
-    #: set this True (the registry surfaces it through
-    #: :func:`batched_table_refillable`), letting a leased engine skip the
-    #: n-object process factory entirely on same-configuration reruns.
-    supports_refill: bool = False
-
-    def refill(self, proposals: Sequence[Any]) -> bool:
-        """Rewrite the columns in place for a fresh run with ``proposals``.
-
-        Returns True when the table took the refill (it must then be
-        byte-for-byte equivalent to ``from_processes`` over freshly
-        constructed processes of the same configuration — the refill
-        parity grid in ``tests/scenarios/test_columnar_parity.py`` pins
-        this), False when refilling is unsupported.  Configuration-shaped
-        state (``n``, per-process parameters like TruncatedCRW's ``k``,
-        destination tuples) is fixed across a lease and must not change.
-        """
-        return False
-
-
-#: Exact process type -> table factory.  Keyed by exact type (not
-#: ``isinstance``): a subclass overriding a hook must not silently inherit
-#: its parent's batched semantics — it opts in with its own table.
-_BATCHED_TABLES: dict[type, Callable[[Sequence[SyncProcess]], BatchedAlgorithm]] = {}
-
-
-def register_batched_table(
-    process_cls: type,
-) -> Callable[[type[BatchedAlgorithm]], type[BatchedAlgorithm]]:
-    """Class decorator: register a table implementation for ``process_cls``.
-
-    ::
-
-        @register_batched_table(CRWConsensus)
-        class CRWTable(BatchedAlgorithm): ...
-    """
-
-    def deco(table_cls: type[BatchedAlgorithm]) -> type[BatchedAlgorithm]:
-        if process_cls in _BATCHED_TABLES:
-            raise ConfigurationError(
-                f"{process_cls.__name__} already has a batched table"
-            )
-        _BATCHED_TABLES[process_cls] = table_cls.from_processes
-        return table_cls
-
-    return deco
-
-
-def batched_table_for(processes: Sequence[SyncProcess]) -> BatchedAlgorithm | None:
-    """The columnar table for ``processes``, or None when unavailable.
-
-    Requires a homogeneous table: every process of the exact registered
-    type.  Mixed tables (and wrappers like the cross-model simulations)
-    fall back to per-process stepping.
-    """
-    if not processes:
-        return None
-    cls = type(processes[0])
-    factory = _BATCHED_TABLES.get(cls)
-    if factory is None:
-        return None
-    if any(type(p) is not cls for p in processes):
-        return None
-    return factory(processes)
-
-
-# ---------------------------------------------------------------------------
-# Vectorized stepping: array-column hooks, no plans, no inboxes.
+# Vector stepping: whole-table hooks over columns, no plans, no inboxes.
 # ---------------------------------------------------------------------------
 
 #: One speaker's outgoing traffic for one round, as a plain tuple
@@ -368,23 +247,26 @@ VectorSend = tuple  # (sender, data_dests, payload, control_dests, bits)
 
 
 class VectorAlgorithm(abc.ABC):
-    """Array-columnar drop-in for a whole table of same-typed processes.
+    """Columnar drop-in for a whole table of same-typed processes.
 
-    The third stepping mode, above :class:`BatchedAlgorithm`: where the
-    list-batched table still produces one :class:`SendPlan` and consumes
-    one :class:`RoundInbox` per process per round, a vector table
-    describes a round's traffic as a sparse list of :data:`VectorSend`
-    tuples (speakers only) and computes the round over typed array
-    columns (:mod:`repro.util.columns`) — whole-column compare/reduce
-    instead of per-pid loops.  The engine never materializes plans or
-    inboxes in this mode; it resolves crashes and charges accounting
-    straight off the send tuples.
+    Engines step a round one of two ways.  The reference calls
+    ``send_phase``/``compute_phase`` on every :class:`SyncProcess`: one
+    :class:`SendPlan` and one :class:`RoundInbox` per process per round.
+    A vector table instead holds every process's state in pid-indexed
+    columns (:mod:`repro.util.columns`: int64 arrays for plain ints,
+    object lists for any other value type), describes a round's traffic
+    as a sparse list of :data:`VectorSend` tuples (speakers only) and
+    computes the round whole-column instead of per process.  The engine
+    never materializes plans or inboxes in this mode; it resolves
+    crashes and charges accounting straight off the send tuples.
 
-    Contract (byte-parity with the other modes depends on all of it):
+    Contract (byte-parity with per-process stepping depends on all of it):
 
-    * :meth:`from_processes` may return None when the processes' state is
-      not vectorizable (non-int64 values, heterogeneous configuration);
-      the engine then falls back to list-batched/per-process stepping.
+    * :meth:`from_processes` may return None when the processes'
+      configuration is mixed (a non-uniform horizon or deadline) or when
+      the values would make the reference's choice depend on set order
+      (equal ``value_key`` but distinguishable values such as ``1``,
+      ``True`` and ``1.0``); the engine then steps per process.
     * :meth:`send_phase_vector` returns sends for **speakers only**, in
       ascending pid order, mirroring what the per-process ``send_phase``
       loop would have produced (including raising the same model
@@ -409,8 +291,7 @@ class VectorAlgorithm(abc.ABC):
 
     Vector tables are first-party mirrors of their process classes (the
     vector parity grid runs the validated object path against them), so
-    the engine does not re-validate their sends — same trust model as
-    the list-batched tables.
+    the engine does not re-validate their sends.
     """
 
     @classmethod
@@ -418,7 +299,7 @@ class VectorAlgorithm(abc.ABC):
     def from_processes(
         cls, processes: Sequence[SyncProcess]
     ) -> "VectorAlgorithm | None":
-        """Build the array-columnar table, or None when not vectorizable."""
+        """Build the columnar table, or None when it must not engage."""
 
     @abc.abstractmethod
     def send_phase_vector(
@@ -437,23 +318,30 @@ class VectorAlgorithm(abc.ABC):
     ) -> dict[int, Any]:
         """Consume the round's (post-truncation) sends; return decisions."""
 
-    #: Same refill capability advertisement as :class:`BatchedAlgorithm`.
+    #: Refill capability advertisement: tables that implement
+    #: :meth:`refill` set this True, letting a leased engine skip the
+    #: n-object process factory entirely on same-configuration reruns.
     supports_refill: bool = False
 
     def refill(self, proposals: Sequence[Any]) -> bool:
-        """Rewrite the array columns in place for a fresh run.
+        """Rewrite the columns in place for a fresh run with ``proposals``.
 
-        May return False when the new proposals are not vectorizable
-        (e.g. they stopped being int64s, or a FloodSet universe outgrew
-        its bitmask) — the engine then declines the refill and the caller
-        falls back to the factory + reset path, which re-detects the
-        stepping mode.
+        Returns True when the table took the refill (it must then be
+        byte-for-byte equivalent to ``from_processes`` over freshly
+        constructed processes of the same configuration — the refill
+        parity grid in ``tests/scenarios/test_columnar_parity.py`` pins
+        this).  Returns False when ``from_processes`` would have declined
+        the new proposals (ambiguous value order) — the caller then falls
+        back to the factory + reset path, which re-detects the stepping
+        mode.  Configuration-shaped state (``n``, TruncatedCRW's ``k``,
+        destination tuples) is fixed across a lease and must not change.
         """
         return False
 
 
-#: Exact process type -> vector table factory (same exact-type discipline
-#: as the list-batched registry).
+#: Exact process type -> vector table factory.  Keyed by exact type (not
+#: ``isinstance``): a subclass overriding a hook must not silently inherit
+#: its parent's table semantics — it opts in with its own table.
 _VECTOR_TABLES: dict[type, Callable[[Sequence[SyncProcess]], "VectorAlgorithm | None"]] = {}
 
 
@@ -476,7 +364,7 @@ def register_vector_table(
 def vector_table_for(processes: Sequence[SyncProcess]) -> "VectorAlgorithm | None":
     """The vector table for ``processes``, or None when unavailable.
 
-    None covers three distinct cases that all mean "step another way":
+    None covers three distinct cases that all mean "step per process":
     no registration for the (exact) process type, a mixed table, or a
     registered factory declining the processes' current state
     (:meth:`VectorAlgorithm.from_processes` returning None).
@@ -490,20 +378,3 @@ def vector_table_for(processes: Sequence[SyncProcess]) -> "VectorAlgorithm | Non
     if any(type(p) is not cls for p in processes):
         return None
     return factory(processes)
-
-
-def batched_table_refillable(process_cls: type) -> bool:
-    """Whether ``process_cls``'s registered table advertises ``refill``.
-
-    Registry-level introspection mirroring the check the engines make on
-    the live table (``table.supports_refill``) when a lease rerun asks to
-    skip the process factory; use it to answer the question without
-    building a table first.  Unregistered classes — and registrations
-    whose factory is a plain callable rather than a table classmethod —
-    report False.
-    """
-    factory = _BATCHED_TABLES.get(process_cls)
-    if factory is None:
-        return False
-    table_cls = getattr(factory, "__self__", None)
-    return bool(getattr(table_cls, "supports_refill", False))

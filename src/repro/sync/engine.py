@@ -37,29 +37,25 @@ Two delivery paths implement identical semantics:
 The two paths produce identical :class:`RoundOutcome`/:class:`MessageStats`
 (pinned by ``tests/sync/test_fastpath_parity.py``).
 
-Orthogonally to the delivery path, the *hook* side of the round has two
-modes.  Per-process stepping calls ``send_phase``/``compute_phase`` on
-every process every round — two Python method dispatches per (process,
-round), which PR 2 left as ~60% of the cascade kernel.  When every
-process is of one type that registered a
-:class:`~repro.sync.api.BatchedAlgorithm` table, the engine instead
-builds the columnar table once and runs the whole round through
-``send_phase_all``/``compute_phase_all`` — two calls per **round**, with
-per-process state in parallel lists.  Crash resolution, delivery, and
-inbox construction are shared verbatim between the modes, and decisions
-are mirrored back onto the process objects, so batched and per-process
-runs are byte-identical (``tests/sync/test_batched_parity.py``).
+A round is stepped one of two ways:
 
-PR 9 adds a third hook mode on top: **vector** stepping through a
-registered :class:`~repro.sync.api.VectorAlgorithm` table.  Per-process
-state lives in array columns (numpy when installed, :mod:`array`
-fallback), the send phase emits a sparse list of
-:data:`~repro.sync.api.VectorSend` shapes instead of per-pid plan dicts,
-and delivery/inboxes are skipped entirely — accounting is computed
-straight off the send shapes and computation runs whole-column.  Only
-available with tracing off; auto-detected by ``batched=None`` and forced
-with ``batched="vector"``.  Decisions, stats, and results are
-byte-identical to the other modes (``tests/sync/test_vector_parity.py``).
+* **per process** — the reference: ``send_phase``/``compute_phase`` on
+  every process every round, through one of the two delivery paths
+  above;
+* **vector** — when every process is of one type that registered a
+  :class:`~repro.sync.api.VectorAlgorithm` table and tracing is off.
+  Per-process state lives in columns (int64 arrays — numpy when
+  installed, :mod:`array` fallback — or object lists for any other
+  value type), the send phase emits a sparse list of
+  :data:`~repro.sync.api.VectorSend` shapes instead of per-pid plan
+  dicts, and delivery/inboxes are skipped entirely: accounting is
+  computed straight off the send shapes and computation runs
+  whole-column.  Auto-detected by ``batched=None``, required by
+  ``batched=True``.
+
+Decisions are mirrored back onto the process objects, and decisions,
+stats, and results are byte-identical between the two
+(``tests/sync/test_vector_parity.py``).
 """
 
 from __future__ import annotations
@@ -76,12 +72,10 @@ from repro.net.payload import bit_size
 from repro.sync.api import (
     EMPTY_INBOX,
     NO_SEND,
-    BatchedAlgorithm,
     RoundInbox,
     SendPlan,
     SyncProcess,
     VectorAlgorithm,
-    batched_table_for,
     vector_table_for,
 )
 from repro.sync.crash import CrashEvent, CrashPoint, CrashSchedule, ResolvedCrash
@@ -94,13 +88,14 @@ from repro.util.trace import Trace
 _NO_CONTROL: frozenset[int] = frozenset()
 
 #: Shared inbox for receivers that heard nothing this round (canonically
-#: defined in :mod:`repro.sync.api` so batched tables can identity-test it).
-#: The data view is a read-only mapping proxy, so accidental mutation by an
-#: algorithm raises instead of leaking between processes.
+#: defined in :mod:`repro.sync.api`).  The data view is a read-only mapping
+#: proxy, so accidental mutation by an algorithm raises instead of leaking
+#: between processes.
 _EMPTY_INBOX = EMPTY_INBOX
 
 __all__ = [
     "RoundOutcome",
+    "check_batched",
     "execute_round",
     "SynchronousEngine",
     "ClassicSynchronousEngine",
@@ -109,6 +104,15 @@ __all__ = [
 #: Shared empty crash map for rounds without scheduled crashes (avoids one
 #: dict allocation per step).  Never mutated.
 _NO_CRASHES: dict[int, CrashEvent] = {}
+
+
+def check_batched(batched: Any) -> None:
+    """Reject a ``batched`` setting other than ``None``, ``True`` or ``False``."""
+    if batched is not None and type(batched) is not bool:
+        raise ConfigurationError(
+            f"batched must be None (auto), True (require the columnar table) "
+            f"or False (per-process stepping), got {batched!r}"
+        )
 
 
 @dataclass(slots=True)
@@ -135,7 +139,6 @@ def execute_round(
     n: int | None = None,
     pids: frozenset[int] | None = None,
     active_order: list[int] | None = None,
-    table: BatchedAlgorithm | None = None,
     vtable: VectorAlgorithm | None = None,
 ) -> RoundOutcome:
     """Execute one round over ``active`` processes; mutates process state.
@@ -151,22 +154,15 @@ def execute_round(
     rediscovers the system size, re-materializes the valid destination
     set for plan validation, nor re-sorts the active set.
 
-    ``table`` switches the hook side of the round to batched stepping:
-    the whole round's plans come from one ``send_phase_all`` call and the
-    whole round's computation from one ``compute_phase_all`` call, with
-    new decisions mirrored back onto the process objects.  Crash
-    resolution, delivery, and inbox construction are identical in both
-    modes.
-
-    ``vtable`` (mutually exclusive with ``table``; requires tracing off)
-    switches the *whole round* to vectorized stepping: sparse
+    ``vtable`` (requires tracing off) switches the *whole round* to
+    vector stepping: sparse
     :data:`~repro.sync.api.VectorSend` tuples instead of plans, bulk
     accounting straight off the send shapes instead of delivery, and
     array-columnar computation instead of inboxes.  The returned
     outcome's ``plans``/``inboxes`` are empty in this mode (nothing was
     materialized); decisions, resolved crashes, stats totals, and all
-    process-visible state are byte-identical to the other modes (pinned
-    by ``tests/sync/test_vector_parity.py``).
+    process-visible state are byte-identical to per-process stepping
+    (pinned by ``tests/sync/test_vector_parity.py``).
     """
     if n is None:
         n = next(iter(procs.values())).n if procs else 0
@@ -182,29 +178,16 @@ def execute_round(
     # (typically many) silent processes entirely.
     if active_order is None:
         active_order = sorted(active)
-    if table is not None:
-        plans = table.send_phase_all(round_no, active_order)
-        # One C-speed identity scan finds the (typically few) speakers.
-        # Table plans are NOT re-validated: a registered table mirrors its
-        # per-process class hook for hook (the parity grid runs the
-        # validated per-process path against it), so validation here would
-        # re-check first-party plans every round.
-        senders = [
-            pid
-            for pid, plan in plans.items()
-            if plan is not NO_SEND and (plan.data or plan.control)
-        ]
-    else:
-        senders = []
-        plans = {}
-        for pid in active_order:
-            plan = procs[pid].send_phase(round_no)
-            # NO_SEND is the canonical silent plan; the identity test skips
-            # the attribute loads for the (typically many) quiet processes.
-            if plan is not NO_SEND and (plan.data or plan.control):
-                plan.validate(pid, n, allow_control=allow_control, pids=pids)
-                senders.append(pid)
-            plans[pid] = plan
+    senders = []
+    plans = {}
+    for pid in active_order:
+        plan = procs[pid].send_phase(round_no)
+        # NO_SEND is the canonical silent plan; the identity test skips
+        # the attribute loads for the (typically many) quiet processes.
+        if plan is not NO_SEND and (plan.data or plan.control):
+            plan.validate(pid, n, allow_control=allow_control, pids=pids)
+            senders.append(pid)
+        plans[pid] = plan
 
     # Phase 2: resolve this round's crashes against actual plans.
     resolved: dict[int, ResolvedCrash] = {}
@@ -260,60 +243,26 @@ def execute_round(
     inboxes: dict[int, RoundInbox] = {}
     get_data = data_in.get
     get_control = control_in.get
-    if table is not None:
-        # Build the inbox map from the (usually sparse) delivery side:
-        # everyone starts empty, then only receivers that actually heard
-        # something get a real inbox.  Key order stays receiver order.
-        # Inboxes are built via __new__ + slot writes: the dataclass
-        # __init__ costs ~3x as much and this runs once per hearing
-        # receiver per round.
-        new_inbox = RoundInbox.__new__
-        inboxes = dict.fromkeys(receiver_order, _EMPTY_INBOX)
-        for pid, data in data_in.items():
-            control = get_control(pid)
-            inbox = new_inbox(RoundInbox)
-            inbox.data = data
-            inbox.control = _NO_CONTROL if control is None else frozenset(control)
-            inboxes[pid] = inbox
-        if control_in:
-            for pid, control in control_in.items():
-                if pid not in data_in:
-                    inbox = new_inbox(RoundInbox)
-                    inbox.data = {}
-                    inbox.control = frozenset(control)
-                    inboxes[pid] = inbox
-        new_decisions = table.compute_phase_all(round_no, inboxes)
-        # Mirror decisions onto the process objects so `decided`/`decision`
-        # views (user code holding the procs) stay true.  Slots are written
-        # directly: `decide()` would re-check the double-decision guard the
-        # engine already enforces by dropping deciders from the active set.
-        for pid, value in new_decisions.items():
-            proc = procs[pid]
-            proc._decided = True
-            proc._decision = value
+    new_decisions = {}
+    for pid in receiver_order:
+        data = get_data(pid)
+        control = get_control(pid)
+        if data is None and control is None:
+            inbox = _EMPTY_INBOX
+        else:
+            inbox = RoundInbox(
+                data={} if data is None else data,
+                control=_NO_CONTROL if control is None else frozenset(control),
+            )
+        inboxes[pid] = inbox
+        proc = procs[pid]
+        proc.compute_phase(round_no, inbox)
+        # Reads the SyncProcess decision slots directly: the two property
+        # hops per process per round are measurable on n=128 grids.
+        if proc._decided:
+            new_decisions[pid] = proc._decision
             if traced:
-                trace.record(round_no, "decide", pid, value=value)
-    else:
-        new_decisions = {}
-        for pid in receiver_order:
-            data = get_data(pid)
-            control = get_control(pid)
-            if data is None and control is None:
-                inbox = _EMPTY_INBOX
-            else:
-                inbox = RoundInbox(
-                    data={} if data is None else data,
-                    control=_NO_CONTROL if control is None else frozenset(control),
-                )
-            inboxes[pid] = inbox
-            proc = procs[pid]
-            proc.compute_phase(round_no, inbox)
-            # Reads the SyncProcess decision slots directly: the two property
-            # hops per process per round are measurable on n=128 grids.
-            if proc._decided:
-                new_decisions[pid] = proc._decision
-                if traced:
-                    trace.record(round_no, "decide", pid, value=proc._decision)
+                trace.record(round_no, "decide", pid, value=proc._decision)
 
     return RoundOutcome(
         round_no=round_no,
@@ -603,8 +552,11 @@ def _execute_round_vector(
     new_decisions = vtable.compute_phase_vector(
         round_no, receivers, receiver_order, sends, crashing is None
     )
-    # Same direct slot mirroring as batched stepping (tracing is off here
-    # by construction, so no decide events to record).
+    # Mirror decisions onto the process objects so `decided`/`decision`
+    # views (user code holding the procs) stay true.  Slots are written
+    # directly: `decide()` would re-check the double-decision guard the
+    # engine already enforces by dropping deciders from the active set.
+    # Tracing is off here by construction, so no decide events to record.
     for pid, value in new_decisions.items():
         proc = procs[pid]
         proc._decided = True
@@ -635,16 +587,13 @@ class SynchronousEngine:
     trace:
         Set ``False`` to disable event recording (large sweeps).
     batched:
-        ``None`` (default) auto-detects the fastest eligible stepping
-        mode: with tracing off, a registered
-        :class:`~repro.sync.api.VectorAlgorithm` table (array-columnar
-        state, sparse sends, bulk accounting) wins; otherwise a
-        registered :class:`~repro.sync.api.BatchedAlgorithm` table
-        (list-columnar, two hook calls per round); otherwise per-process
-        stepping.  ``"vector"`` requires the vector table (and tracing
-        off) and raises when unavailable; ``True`` requires the
-        list-batched table; ``False`` forces per-process stepping (the
-        parity grids compare the modes).  While stepping through either
+        ``None`` (default) steps through the processes' registered
+        :class:`~repro.sync.api.VectorAlgorithm` table (columnar state,
+        sparse sends, bulk accounting) when tracing is off and the table
+        engages, and per process otherwise.  ``True`` requires the
+        vector table (and tracing off) and raises when unavailable;
+        ``False`` forces per-process stepping (the parity grids compare
+        the two).  Any other value raises.  While stepping through the
         table, the table is the authoritative copy of algorithm state —
         decisions are mirrored back to the process objects, other
         per-process attributes are not.
@@ -661,7 +610,7 @@ class SynchronousEngine:
         t: int | None = None,
         rng: RandomSource | None = None,
         trace: bool = True,
-        batched: bool | str | None = None,
+        batched: bool | None = None,
     ) -> None:
         if not processes:
             raise ConfigurationError("no processes given")
@@ -680,7 +629,7 @@ class SynchronousEngine:
         *,
         rng: RandomSource | None,
         trace: bool,
-        batched: bool | str | None,
+        batched: bool | None,
     ) -> None:
         """Per-run wiring shared by construction and :meth:`reset`."""
         n = self.n
@@ -703,39 +652,27 @@ class SynchronousEngine:
             raise ConfigurationError(
                 f"processes must have pids exactly 1..n with a common n; got {pids}"
             )
+        check_batched(batched)
         self.procs = procs
         self._proposals = proposals
-        self._table: BatchedAlgorithm | None = None
         self._vtable: VectorAlgorithm | None = None
-        if batched == "vector":
+        if batched is True:
             if trace:
                 raise ConfigurationError(
-                    'batched="vector" requires tracing off: the vector path '
+                    "batched=True requires tracing off: the vector path "
                     "materializes no per-message events to record"
                 )
             self._vtable = vector_table_for(processes)
             if self._vtable is None:
                 raise ConfigurationError(
-                    f'batched="vector" but {type(processes[0]).__name__} has '
-                    f"no registered vector table (or this workload is "
-                    f"ineligible for columnar state)"
-                )
-        elif batched is None:
-            # Auto-detect, fastest eligible mode first.  The vector path
-            # needs tracing off; ineligible workloads (vector factory
-            # returns None) degrade to the list-batched table, then to
-            # per-process stepping.
-            if not trace:
-                self._vtable = vector_table_for(processes)
-            if self._vtable is None:
-                self._table = batched_table_for(processes)
-        elif batched:
-            self._table = batched_table_for(processes)
-            if self._table is None:
-                raise ConfigurationError(
                     f"batched=True but {type(processes[0]).__name__} has no "
-                    f"registered batched table"
+                    f"registered vector table (or its table declined this "
+                    f"configuration)"
                 )
+        elif batched is None and not trace:
+            # A declining table (mixed configuration, ambiguous value
+            # order) leaves the run on per-process stepping.
+            self._vtable = vector_table_for(processes)
         self._begin_run(schedule, rng=rng, trace=trace)
 
     def _begin_run(
@@ -782,7 +719,7 @@ class SynchronousEngine:
         *,
         rng: RandomSource | None = None,
         trace: bool = False,
-        batched: bool | str | None = None,
+        batched: bool | None = None,
     ) -> "SynchronousEngine":
         """Rewire for a fresh run over ``processes``; return ``self``.
 
@@ -790,7 +727,7 @@ class SynchronousEngine:
         valid-pid frozenset — and reinstalls everything per-run exactly
         as construction would: new process table (same shape, freshly
         constructed state), new schedule (re-validated), fresh stats,
-        trace, ledgers, round counter, and batched table.  A reset engine
+        trace, ledgers, round counter, and vector table.  A reset engine
         produces byte-identical results to a freshly constructed one
         (pinned by ``tests/scenarios/test_engine_reuse.py``); the
         engine-lease path of the scenario layer leans on this to
@@ -821,22 +758,23 @@ class SynchronousEngine:
         """Rearm for a fresh run **without** a new process table.
 
         The factory-free sibling of :meth:`reset`: when the engine steps
-        through a batched table that advertises ``refill``
-        (:attr:`~repro.sync.api.BatchedAlgorithm.supports_refill`), the
+        through a vector table that advertises ``refill``
+        (:attr:`~repro.sync.api.VectorAlgorithm.supports_refill`), the
         table's columns are rewritten in place from ``proposals`` and the
         per-run state is re-armed — no ``n``-object process construction,
         no table rebuild.  Returns False (taking no action) when the
-        engine has no refillable table; the caller then falls back to the
-        factory + :meth:`reset` path.
+        engine has no refillable table or the table declines the
+        proposals; the caller then falls back to the factory +
+        :meth:`reset` path.
 
-        While stepping batched, the table is the authoritative copy of
+        While stepping through the table, the table is the authoritative copy of
         algorithm state, so the retained process objects only serve as
         decision mirrors: their decision slots are re-armed here, their
         algorithm attributes (estimates, value sets) keep the previous
         run's values.  Refilled runs are byte-identical to fresh ones
         (pinned by ``tests/scenarios/test_columnar_parity.py``).
         """
-        table = self._vtable if self._vtable is not None else self._table
+        table = self._vtable
         if table is None or not table.supports_refill:
             return False
         if len(proposals) != self.n:
@@ -897,7 +835,6 @@ class SynchronousEngine:
             n=self.n,
             pids=self._pids,
             active_order=self._active_order,
-            table=self._table,
             vtable=self._vtable,
         )
         for pid in outcome.resolved_crashes:
@@ -952,7 +889,7 @@ class SynchronousEngine:
         """Materialize the current :class:`~repro.sync.result.RunResult`."""
         outcomes: dict[int, ProcessOutcome] = {}
         # Decision values/rounds and crash rounds come from the engine's own
-        # ledgers (identical in per-process and batched mode) rather than
+        # ledgers (identical in per-process and vector mode) rather than
         # from process attributes — no property hops over n processes.
         decisions = self._decisions
         decided_round = self._decided_round

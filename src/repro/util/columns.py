@@ -1,33 +1,36 @@
-"""Typed array columns: numpy when available, stdlib ``array`` fallback.
+"""Typed value columns: numpy when available, stdlib ``array`` fallback.
 
-The columnar tables of PRs 3–5 hold per-process state in pid-indexed
-Python *lists*.  This module provides the array-backed replacement the
-vectorized tables build on: int64 / bool / uint64 columns that are numpy
-arrays when numpy is importable and :class:`array.array` buffers when it
-is not, plus a small set of element accessors (gather / scatter / reduce)
-that dispatch on the column's concrete type.
+The vector tables (:class:`repro.sync.api.VectorAlgorithm`) hold
+per-process state in pid-indexed columns built here.  Two kinds exist:
 
-Two properties every helper keeps, because the vectorized engine paths
-are pinned byte-identical to the object paths:
+* **array columns** — int64 / bool columns that are numpy arrays when
+  numpy is importable and :class:`array.array` buffers when it is not;
+* **object columns** — plain pid-indexed lists, for values that are not
+  plain int64s (``SizedValue``, strings, floats, bools, service
+  commands) and for Python-int bitmasks wider than a machine word.
 
-* **Python scalars out.**  ``take`` / ``min_at`` / ``any_at`` /
-  ``or_at`` return built-in ``int`` / ``bool`` values (``tolist`` on the
-  numpy side), never numpy scalars — payloads and decisions feed the
+:func:`value_column` picks the kind from the values.  The element
+accessors (gather / scatter / reduce) dispatch on the column's concrete
+type, so a table's code is the same over every kind.
+
+Two properties every helper keeps, because the vector paths are pinned
+byte-identical to per-process stepping:
+
+* **Python scalars out.**  ``at`` / ``take`` / ``min_at`` / ``any_at`` /
+  ``or_at`` return built-in values (``item`` / ``tolist`` on the numpy
+  side), never numpy scalars — payloads and decisions feed the
   bit-accounting memo and JSON serialization, both of which are
   type-sensitive.
 * **Backend equivalence.**  The numpy and fallback paths compute the
   same values; ``REPRO_NO_NUMPY=1`` forces the fallback so CI can pin
   the whole suite on it.
 
-numpy is imported on first need, not with this module: the first vector
+numpy is imported on first need, not with this module: the first array
 column built (or the first :func:`load_numpy` call) imports it.  Code
-that never builds an array column — the service, the asynchronous
-engines, the serial sweep — never pays numpy's import time or memory.  Until numpy is loaded no column can
-be a numpy array, so the accessors' type dispatch needs no import.
-
-Eligibility: the vectorized tables only engage when every value fits a
-plain int64 (:func:`all_int64`); anything else — ``SizedValue``, strings,
-service commands — falls back to the list-batched tables unchanged.
+that never builds an array column — the service, whose commands live in
+object columns, the asynchronous engines, the serial sweep — never pays
+numpy's import time or memory.  Until numpy is loaded no column can be a
+numpy array, so the accessors' type dispatch needs no import.
 """
 
 from __future__ import annotations
@@ -39,15 +42,16 @@ from typing import Any, Iterable, Sequence
 
 __all__ = [
     "load_numpy",
-    "is_ndarray",
     "int64_fits",
     "all_int64",
     "int_column",
     "bool_column",
-    "uint64_column",
+    "object_column",
+    "value_column",
     "is_array_column",
     "assign_slice",
     "fill_slice",
+    "at",
     "take",
     "put",
     "min_at",
@@ -87,10 +91,6 @@ if "numpy" in sys.modules:
     load_numpy()  # already paid for: resolve now so foreign arrays dispatch
 
 
-def is_ndarray(column: Any) -> bool:
-    """Whether ``column`` is a numpy array (never imports numpy)."""
-    return isinstance(column, _ndarray)
-
 _INT64_MIN = -(1 << 63)
 _INT64_MAX = (1 << 63) - 1
 
@@ -105,7 +105,7 @@ def int64_fits(value: Any) -> bool:
 
 
 def all_int64(values: Iterable[Any]) -> bool:
-    """Whether every value passes :func:`int64_fits` (vector eligibility)."""
+    """Whether every value passes :func:`int64_fits` (int64-column eligibility)."""
     return all(int64_fits(v) for v in values)
 
 
@@ -136,14 +136,21 @@ def bool_column(values: Sequence[bool], *, offset: int = 0):
     return array("b", bytes(offset)) + array("b", [1 if v else 0 for v in values])
 
 
-def uint64_column(values: Sequence[int], *, offset: int = 0):
-    """A uint64 column (bitmask state, e.g. FloodSet value sets)."""
-    np = load_numpy()
-    if np is not None:
-        col = np.zeros(len(values) + offset, dtype=np.uint64)
-        col[offset:] = values
-        return col
-    return array("Q", bytes(8 * offset)) + array("Q", values)
+def object_column(values: Sequence[Any], *, offset: int = 0) -> list:
+    """An object column: a plain list, ``offset`` ``None`` slots then ``values``."""
+    return [None] * offset + list(values)
+
+
+def value_column(values: Sequence[Any], *, offset: int = 0):
+    """An int64 column when every value fits one, else an object column.
+
+    Algorithm values keep their exact Python type either way: an int64
+    column only ever holds plain ints (:func:`int64_fits`), and an object
+    column holds the values themselves.
+    """
+    if all_int64(values):
+        return int_column(values, offset=offset)
+    return object_column(values, offset=offset)
 
 
 def is_array_column(column: Any) -> bool:
@@ -182,6 +189,13 @@ def fill_slice(column: Any, value: Any, *, offset: int = 0) -> None:
 # -- element accessors (gather / scatter / reduce) --------------------------
 
 
+def at(column: Any, index: int) -> Any:
+    """``column[index]`` as a Python value."""
+    if isinstance(column, _ndarray):
+        return column.item(index)
+    return column[index]
+
+
 def take(column: Any, indices: Sequence[int]) -> list:
     """Gather ``column[i] for i in indices`` as Python scalars."""
     if isinstance(column, _ndarray):
@@ -199,11 +213,15 @@ def put(column: Any, indices: Sequence[int], value: Any) -> None:
         column[i] = value
 
 
-def min_at(column: Any, indices: Sequence[int]) -> int:
-    """``min(column[i] for i in indices)`` as a Python int."""
+def min_at(column: Any, indices: Sequence[int], key: Any = None) -> Any:
+    """``min((column[i] for i in indices), key=key)`` as a Python value.
+
+    ``key`` only matters on object columns; on array columns (plain
+    ints) the minimum is the numeric one.
+    """
     if isinstance(column, _ndarray):
         return int(column[indices].min())
-    return min(column[i] for i in indices)
+    return min((column[i] for i in indices), key=key)
 
 
 def any_at(column: Any, indices: Sequence[int]) -> bool:
@@ -214,11 +232,7 @@ def any_at(column: Any, indices: Sequence[int]) -> bool:
 
 
 def or_at(column: Any, indices: Sequence[int]) -> int:
-    """Bitwise OR over ``column[i] for i in indices`` as a Python int."""
-    if isinstance(column, _ndarray):
-        if not len(indices):
-            return 0
-        return int(_numpy.bitwise_or.reduce(column[indices]))
+    """Bitwise OR over ``column[i] for i in indices`` (Python-int masks)."""
     out = 0
     for i in indices:
         out |= column[i]

@@ -6,23 +6,26 @@ experiment record rendered by :mod:`repro.harness.report`, ``DESIGN.md``,
 PRs).
 
 The refill helpers serve a different kind of table: the pid-indexed
-columnar process tables of the batched engines
-(:class:`repro.sync.api.BatchedAlgorithm` /
+columnar process tables of the stepping engines
+(:class:`repro.sync.api.VectorAlgorithm` /
 :class:`repro.asyncsim.process.AsyncBatchedTable`).  Their ``refill``
 implementations rewrite per-process state columns in place for a fresh
 run of the same configuration — new proposals in, constants re-armed —
-and every one of them needs the same two moves, so they live here once:
+and every one of them needs the same moves, so they live here once:
 
 * :func:`refill_column` — overwrite the per-pid slots from a 0-indexed
   value list (synchronous tables keep slot 0 unused, asynchronous tables
   are 0-indexed; ``offset`` covers both conventions);
+* :func:`refill_value_column` — the same for a column of algorithm
+  values, swapping the column's kind (int64 array or object list, see
+  :func:`repro.util.columns.value_column`) when the new values need it;
 * :func:`fill_column` — re-arm the per-pid slots with one constant.
 
-Columns may be plain Python lists (the list-batched tables) or
-array-backed (numpy / :class:`array.array`, the vectorized tables of
-:mod:`repro.util.columns`): both helpers dispatch on the column's
-concrete type, keeping the length check and in-place-rewrite contract
-identical across backends.
+Columns may be plain Python lists (object columns, the asynchronous
+tables) or array-backed (numpy / :class:`array.array`, the int64 and
+bool columns of :mod:`repro.util.columns`): the helpers dispatch on the
+column's concrete type, keeping the length check and in-place-rewrite
+contract identical across backends.
 """
 
 from __future__ import annotations
@@ -31,13 +34,20 @@ from collections.abc import Sequence
 from typing import Any
 
 from repro.errors import ConfigurationError
-from repro.util.columns import assign_slice, fill_slice
+from repro.util.columns import (
+    all_int64,
+    assign_slice,
+    fill_slice,
+    is_array_column,
+    value_column,
+)
 
 __all__ = [
     "Table",
     "render_ascii",
     "render_markdown",
     "refill_column",
+    "refill_value_column",
     "fill_column",
 ]
 
@@ -54,12 +64,30 @@ def refill_column(column: Any, values: Sequence[Any], *, offset: int = 0) -> Non
     less useful message, and an ``array`` slice assignment would silently
     resize).
     """
+    _check_slots(column, values, offset)
+    assign_slice(column, values, offset=offset)
+
+
+def _check_slots(column: Any, values: Sequence[Any], offset: int) -> None:
     if len(column) - offset != len(values):
         raise ConfigurationError(
             f"column holds {len(column) - offset} slots but got "
             f"{len(values)} values"
         )
-    assign_slice(column, values, offset=offset)
+
+
+def refill_value_column(column: Any, values: Sequence[Any], *, offset: int = 0) -> Any:
+    """Refill a :func:`~repro.util.columns.value_column`; return the column to keep.
+
+    The column is rewritten in place while its kind still fits the
+    values (int64 array for plain int64s, object list otherwise);
+    otherwise a fresh column of the right kind replaces it.
+    """
+    if is_array_column(column) != all_int64(values):
+        _check_slots(column, values, offset)
+        return value_column(values, offset=offset)
+    refill_column(column, values, offset=offset)
+    return column
 
 
 def fill_column(column: Any, value: Any, *, offset: int = 0) -> None:

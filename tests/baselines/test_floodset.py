@@ -121,7 +121,7 @@ class TestVectorQuietState:
                        data_policy=Subset.RANDOM),
             CrashEvent(pid=7, round_no=6, point=CrashPoint.BEFORE_SEND),
         ])
-        vector = self._engine(proposals, schedule, 3, "vector")
+        vector = self._engine(proposals, schedule, 3, True)
         while vector.round_no < 4:
             vector.step()
         assert vector._vtable._quiet  # silent before either late crash

@@ -192,7 +192,7 @@ class TestRefillParity:
         assert {pid: id(p) for pid, p in runner_after.procs.items()} == proc_ids
 
     def test_refill_declined_falls_back_to_reset(self):
-        # interactive-consistency has no batched table: the lease must
+        # interactive-consistency has no vector table: the lease must
         # keep working through the factory + reset path.
         base = Scenario(algorithm="interactive-consistency", n=5, f=1,
                         adversary="coordinator-killer")
@@ -212,13 +212,20 @@ class TestRefillParity:
             engine.refill([1, 2, 3])
 
     def test_registry_advertises_refill_capability(self):
+        from repro.baselines.early_stopping import EarlyStoppingConsensus
         from repro.baselines.floodset import FloodSetConsensus
         from repro.core.crw import CRWConsensus
-        from repro.sync.api import SyncProcess, batched_table_refillable
+        from repro.core.variants import SilentProcess
+        from repro.sync.api import _VECTOR_TABLES
 
-        assert batched_table_refillable(CRWConsensus)
-        assert batched_table_refillable(FloodSetConsensus)
-        assert not batched_table_refillable(SyncProcess)  # no table registered
+        def refillable(process_cls):
+            factory = _VECTOR_TABLES.get(process_cls)
+            return factory is not None and factory.__self__.supports_refill
+
+        assert refillable(CRWConsensus)
+        assert refillable(FloodSetConsensus)
+        assert refillable(EarlyStoppingConsensus)
+        assert not refillable(SilentProcess)  # no table registered
 
     def test_every_registered_sync_table_refill_matches_from_processes(self):
         # Table-level parity: for each refillable sync algorithm, refill

@@ -105,6 +105,60 @@ class TestRejections:
         with pytest.raises(ConfigurationError, match="timing key"):
             execute(Scenario(algorithm="ffd", n=6, timing={"DD": 50.0}))
 
+    def test_unknown_workload_param_key_rejected(self):
+        # No workload reads 'bogus': reject it, do not run the defaults.
+        with pytest.raises(ConfigurationError, match=r"'bogus'.*distinct-ints"):
+            execute(Scenario(algorithm="crw", n=4,
+                             workload_params={"bogus": 1}))
+        with pytest.raises(ConfigurationError, match="'bit'"):
+            execute(Scenario(algorithm="crw", n=4, workload="sized",
+                             workload_params={"bit": 16}))
+
+    def test_unknown_algorithm_param_key_rejected(self):
+        # crw reads no params: k only means something to truncated-crw.
+        with pytest.raises(ConfigurationError, match=r"'k'.*'crw'"):
+            execute(Scenario(algorithm="crw", n=4, params={"k": 3}))
+        with pytest.raises(ConfigurationError, match="'deadline'"):
+            execute(Scenario(algorithm="truncated-crw", n=4,
+                             params={"deadline": 2}))
+        with pytest.raises(ConfigurationError, match="'k'"):
+            execute(Scenario(algorithm="mr99", n=5, params={"k": 1}))
+
+    def test_every_builtin_declares_its_param_keys(self):
+        for name, algo in ALGORITHMS.items():
+            assert algo.param_keys is not None, name
+        for name, workload in WORKLOADS.items():
+            assert workload.param_keys is not None, name
+
+    @pytest.mark.parametrize("scenario", [
+        Scenario(algorithm="truncated-crw", n=4, params={"k": "a"}),
+        Scenario(algorithm="crw", n=4, workload="skewed",
+                 workload_params={"alphabet": "x"}),
+        Scenario(algorithm="crw", n=4, workload="sized",
+                 workload_params={"bits": None}),
+        Scenario(algorithm="crw", n=4, workload="binary",
+                 workload_params={"p_one": "half"}),
+    ], ids=["k", "alphabet", "bits", "p_one"])
+    def test_non_numeric_numeric_params_rejected(self, scenario):
+        with pytest.raises(ConfigurationError, match="parameter"):
+            execute(scenario)
+
+    def test_numeric_strings_still_accepted(self):
+        record = execute(Scenario(algorithm="truncated-crw", n=5, f=0,
+                                  adversary="none", params={"k": "2"}))
+        assert record.last_decision_round <= 2
+
+    def test_unhashable_proposals_rejected_before_running(self, monkeypatch):
+        import repro.sync.engine as engine
+
+        def no_engine(*args, **kwargs):
+            raise AssertionError("the engine must not run")
+
+        monkeypatch.setattr(engine.SynchronousEngine, "run", no_engine)
+        with pytest.raises(ConfigurationError, match=r"'identical'.*unhashable"):
+            execute(Scenario(algorithm="crw", n=4, workload="identical",
+                             workload_params={"value": [1, 2]}))
+
     def test_detector_churn_params_forwarded(self):
         record = execute(Scenario(
             algorithm="mr99", n=5, f=1, adversary="coordinator-killer",

@@ -138,7 +138,8 @@ class TestSweepRunner:
         # one summary row (the group key is canonical-JSON, not repr).
         cells = [
             Scenario(algorithm="crw", n=4, f=1, adversary="coordinator-killer",
-                     params={"marker": (1, 2)}, seed=seed)
+                     workload="identical", workload_params={"value": (1, 2)},
+                     seed=seed)
             for seed in range(4)
         ]
         path = tmp_path / "mixed.jsonl"

@@ -1,13 +1,14 @@
-"""Vector-stepping parity: array tables must match batched and object runs.
+"""Vector-stepping parity: columnar tables must match per-process runs.
 
-PR 9's vector stepping protocol (``repro.sync.api.VectorAlgorithm``)
+The vector stepping protocol (``repro.sync.api.VectorAlgorithm``)
 replaces the per-process send/compute calls with whole-column operations
-over numpy (or ``array``) state.  The engine auto-detects a registered
-vector table whenever tracing is off, so this grid is the contract: for
-every algorithm that registered one, a vector run must be
-**byte-identical** to both the list-batched run and the per-process
-reference — the normalized RunRecord and every MessageStats counter —
-across adversaries, seeds, and engine reuse (fresh / leased / refilled).
+over int64 columns (numpy or ``array``) or object columns (plain lists,
+any value type).  The engine auto-detects a registered vector table
+whenever tracing is off, so this grid is the contract: for every
+algorithm that registered one, a vector run must be **byte-identical**
+to the per-process reference — the normalized RunRecord and every
+MessageStats counter — across adversaries, seeds, value types and
+engine reuse (fresh / leased / refilled).
 
 The same file runs under ``REPRO_NO_NUMPY=1`` in CI, pinning the stdlib
 ``array`` fallback to the same bytes.  The generated crash-round grid
@@ -32,12 +33,48 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
-from repro.net.payload import bit_size
+from repro.net.payload import SizedValue, bit_size
 from repro.scenarios import ADVERSARIES, ALGORITHMS, EngineLease, Scenario, execute
+from repro.scenarios.registry import WORKLOADS, WorkloadDef, register_workload
 from repro.sync.api import _VECTOR_TABLES, vector_table_for
 from repro.sync.crash import CrashEvent, CrashPoint, CrashSchedule, Subset
 from repro.util import columns
 from repro.util.rng import RandomSource
+
+#: Test-only workloads, registered for this module's duration: random
+#: bools, and random picks from 1 / True / 1.0 — equal values of three
+#: types, which size and serialize differently.
+_TEST_WORKLOADS = (
+    WorkloadDef("test-bools", lambda n, rng, params: rng.bools(n)),
+    WorkloadDef(
+        "test-ties",
+        lambda n, rng, params: [(1, True, 1.0)[i] for i in rng.randints(n, 0, 2)],
+    ),
+)
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _test_workloads():
+    for workload in _TEST_WORKLOADS:
+        register_workload(workload)
+    yield
+    for workload in _TEST_WORKLOADS:
+        WORKLOADS._entries.pop(workload.name)
+
+
+#: Value-type workloads every vector table must step exactly like the
+#: reference: id -> Scenario fields.
+WORKLOAD_CASES = {
+    "sized": {"workload": "sized", "workload_params": {"bits": 16}},
+    "identical-str": {"workload": "identical", "workload_params": {"value": "v"}},
+    "identical-float": {"workload": "identical", "workload_params": {"value": 2.5}},
+    "bools": {"workload": "test-bools"},
+    "ties": {"workload": "test-ties"},
+}
+
+#: Algorithms whose tables order values by ``value_key`` and so decline
+#: the 1 / True / 1.0 ties (the reference's pick would depend on set order).
+KEY_ORDERED = ("early-stopping", "floodset")
 
 
 def _has_vtable(name: str) -> bool:
@@ -75,19 +112,36 @@ def test_hot_algorithms_are_vectorized():
         assert name in VECTOR_ALGORITHMS, f"{name} lost its vector table"
 
 
-@pytest.mark.parametrize("algorithm,adversary", list(_cells()))
-@pytest.mark.parametrize("seed", [0, 1, 2, 7, 13])
-def test_records_and_stats_identical(algorithm, adversary, seed):
-    scenario = Scenario(
-        algorithm=algorithm, n=6, f=2, adversary=adversary, seed=seed,
-    )
-    vector = execute(scenario, batched="vector")
-    batched = execute(scenario, batched=True)
+def _record_cells():
+    for algorithm, adversary in _cells():
+        for seed in (0, 1, 2, 7, 13):
+            yield algorithm, adversary, "distinct-ints", seed
+        for workload in WORKLOAD_CASES:
+            for seed in (0, 7):
+                yield algorithm, adversary, workload, seed
+        if algorithm == "floodset":
+            for seed in (0, 7):
+                yield algorithm, adversary, "wide", seed
+
+
+def _scenario(algorithm, adversary, workload, seed) -> Scenario:
+    if workload == "wide":
+        # 72 distinct values: a FloodSet universe past any machine word.
+        return Scenario(algorithm=algorithm, n=72, t=4, f=2,
+                        adversary=adversary, seed=seed)
+    return Scenario(algorithm=algorithm, n=6, f=2, adversary=adversary,
+                    seed=seed, **WORKLOAD_CASES.get(workload, {}))
+
+
+@pytest.mark.parametrize("algorithm,adversary,workload,seed", list(_record_cells()))
+def test_records_and_stats_identical(algorithm, adversary, workload, seed):
+    scenario = _scenario(algorithm, adversary, workload, seed)
+    declines = workload == "ties" and algorithm in KEY_ORDERED
+    vector = execute(scenario, batched=None if declines else True)
     reference = execute(scenario, batched=False)
 
     # The normalized record agrees field for field (to_dict drops `raw`).
     assert vector.to_dict() == reference.to_dict()
-    assert vector.to_dict() == batched.to_dict()
 
     # And the raw per-kind counters agree individually — messages_sent /
     # bits_sent alone could mask compensating errors between kinds or
@@ -104,12 +158,12 @@ def test_auto_mode_engages_the_vector_table(algorithm):
 
     scenario = Scenario(algorithm=algorithm, n=5, f=1, adversary="staggered", seed=3)
     auto = execute(scenario)
-    explicit = execute(scenario, batched="vector")
+    explicit = execute(scenario, batched=True)
     reference = execute(scenario, batched=False)
     assert auto.to_dict() == explicit.to_dict() == reference.to_dict()
 
-    # The auto-detected engine really holds a vector table (and no
-    # list-batched one), on both engine classes.
+    # The auto-detected engine really holds a vector table, on both
+    # engine classes.
     algo = ALGORITHMS.get(algorithm)
     procs = algo.factory(5, 4, [1, 2, 3, 4, 5], {})
     cls = (
@@ -118,7 +172,6 @@ def test_auto_mode_engages_the_vector_table(algorithm):
     )
     engine = cls(procs, t=4, trace=False)
     assert engine._vtable is not None
-    assert engine._table is None
 
 
 class TestLeasedAndRefilled:
@@ -143,64 +196,179 @@ class TestLeasedAndRefilled:
     def test_vector_and_other_modes_key_separately(self):
         scenario = Scenario(algorithm="crw", n=5, f=1, adversary="coordinator-killer")
         lease = EngineLease()
-        a = execute(scenario, lease=lease, batched="vector")
+        a = execute(scenario, lease=lease, batched=None)
         b = execute(scenario, lease=lease, batched=True)
         c = execute(scenario, lease=lease, batched=False)
         assert a.to_dict() == b.to_dict() == c.to_dict()
         assert len(lease) == 3  # distinct keys: the flags shape the engine
+
+    @pytest.mark.parametrize("algorithm", VECTOR_ALGORITHMS)
+    def test_refill_across_value_types(self, algorithm):
+        """One configuration whose seeds draw 1 / True / 1.0: the leased
+        engine refills across column kinds (int64 <-> object), across
+        universes of equal but distinguishable values, and into and out
+        of declined tables — and every run stays exact."""
+        base = Scenario(algorithm=algorithm, n=3, f=1, adversary="staggered",
+                        workload="test-ties")
+        lease = EngineLease()
+        for seed in range(40):
+            cell = base.with_(seed=seed)
+            leased = execute(cell, lease=lease)
+            assert leased.to_dict() == execute(cell, batched=False).to_dict(), (
+                algorithm, seed,
+            )
+        assert len(lease) == 1
+
+    @pytest.mark.parametrize("algorithm", VECTOR_ALGORITHMS)
+    def test_engine_refill_keeps_equal_values_of_different_types_apart(
+        self, algorithm
+    ):
+        """``engine.refill`` straight from 1 to True to 1.0 (and 0.0 to
+        -0.0, ints to strs to SizedValues): equal values that size and
+        serialize differently must not inherit the previous run's
+        column or universe."""
+        from repro.sync.engine import ClassicSynchronousEngine
+        from repro.sync.extended import ExtendedSynchronousEngine
+
+        algo = ALGORITHMS.get(algorithm)
+        cls = (
+            ExtendedSynchronousEngine if algo.backend == "extended"
+            else ClassicSynchronousEngine
+        )
+        n, t = 4, 3
+        runs = [[1] * n, [True] * n, [1.0] * n, [0.0] * n, [-0.0] * n,
+                [5, 6, 7, 8], ["a", "b", "c", "d"], [SizedValue(3, 8)] * n,
+                [1] * n]
+        engine = None
+        for proposals in runs:
+            if engine is None:
+                engine = cls(algo.factory(n, t, proposals, {}), t=t, trace=False)
+            else:
+                assert engine.refill(proposals), proposals
+            assert engine._vtable is not None
+            result = engine.run()
+            reference = cls(
+                algo.factory(n, t, proposals, {}), t=t, trace=False, batched=False
+            ).run()
+            assert {p: repr(o.decision) for p, o in result.outcomes.items()} == {
+                p: repr(o.decision) for p, o in reference.outcomes.items()
+            }, proposals
+            assert result.stats == reference.stats, proposals
 
 
 class TestModeSelection:
     def test_vector_mode_requires_tracing_off(self):
         scenario = Scenario(algorithm="crw", n=4, f=1, adversary="none", seed=0)
         with pytest.raises(ConfigurationError, match="tracing"):
-            execute(scenario, trace=True, batched="vector")
+            execute(scenario, trace=True, batched=True)
 
-    def test_vector_mode_is_synchronous_only(self):
-        # mr99 is asynchronous: no sync vector table exists for it.
-        scenario = Scenario(algorithm="mr99", n=4, f=1, adversary="none", seed=0)
-        with pytest.raises(ConfigurationError, match="synchronous-only"):
-            execute(scenario, batched="vector")
+    @pytest.mark.parametrize("algorithm", ["crw", "floodset", "mr99", "ffd"])
+    @pytest.mark.parametrize("batched", ["vector", 1, 0, "yes"])
+    def test_batched_takes_none_true_or_false_only(self, algorithm, batched):
+        scenario = Scenario(algorithm=algorithm, n=4, f=1, adversary="none", seed=0)
+        with pytest.raises(ConfigurationError, match="batched"):
+            execute(scenario, batched=batched)
 
-    def test_ineligible_values_fall_back_to_batched(self):
-        """Non-int64 proposals (SizedValue) decline vectorization but keep
-        the list-batched table — auto mode still runs, byte-identical."""
+    def test_engine_rejects_other_batched_values(self):
         from repro.core.crw import CRWConsensus
-        from repro.net.payload import SizedValue
         from repro.sync.extended import ExtendedSynchronousEngine
 
-        def procs():
-            return [
-                CRWConsensus(pid, 4, SizedValue(pid, bits=128))
-                for pid in range(1, 5)
-            ]
+        procs = [CRWConsensus(pid, 3, pid) for pid in (1, 2, 3)]
+        with pytest.raises(ConfigurationError, match="batched"):
+            ExtendedSynchronousEngine(procs, t=2, trace=False, batched="vector")
 
-        assert vector_table_for(procs()) is None
+    @staticmethod
+    def _engages_and_matches(make_procs, t, engine_cls=None):
+        """The vector table engages on ``make_procs()`` and its run equals
+        the ``batched=False`` reference."""
+        from repro.sync.extended import ExtendedSynchronousEngine
 
-        engine = ExtendedSynchronousEngine(procs(), t=3, trace=False)
-        assert engine._vtable is None
-        assert engine._table is not None  # fell back to the list table
+        engine_cls = engine_cls or ExtendedSynchronousEngine
+        assert vector_table_for(make_procs()) is not None
+        engine = engine_cls(make_procs(), t=t, trace=False)
+        assert engine._vtable is not None
         result = engine.run()
-        reference = ExtendedSynchronousEngine(
-            procs(), t=3, trace=False, batched=False
-        ).run()
-        assert {p: o.decision for p, o in result.outcomes.items()} == {
-            p: o.decision for p, o in reference.outcomes.items()
-        }
+        reference = engine_cls(make_procs(), t=t, trace=False, batched=False).run()
+        assert result.outcomes == reference.outcomes
         assert result.stats == reference.stats
 
-    def test_bool_proposals_decline_vectorization(self):
+    def test_sized_values_engage_the_vector_table(self):
         from repro.core.crw import CRWConsensus
 
-        procs = [CRWConsensus(pid, 3, pid == 1) for pid in (1, 2, 3)]
-        assert vector_table_for(procs) is None
+        self._engages_and_matches(
+            lambda: [
+                CRWConsensus(pid, 4, SizedValue(pid, bits=128))
+                for pid in range(1, 5)
+            ],
+            t=3,
+        )
 
-    def test_oversized_floodset_universe_declines(self):
+    def test_bool_proposals_engage_the_vector_table(self):
+        from repro.core.crw import CRWConsensus
+
+        self._engages_and_matches(
+            lambda: [CRWConsensus(pid, 3, pid == 1) for pid in (1, 2, 3)], t=2
+        )
+
+    def test_wide_floodset_universe_engages_the_vector_table(self):
         from repro.baselines.floodset import FloodSetConsensus
+        from repro.sync.engine import ClassicSynchronousEngine
 
-        n = 66  # 66 distinct values > the 64-bit mask
-        procs = [FloodSetConsensus(pid, n, pid, t=1) for pid in range(1, n + 1)]
-        assert vector_table_for(procs) is None
+        n = 72  # 72 distinct values: masks wider than 64 bits
+        self._engages_and_matches(
+            lambda: [FloodSetConsensus(pid, n, pid, t=3) for pid in range(1, n + 1)],
+            t=3,
+            engine_cls=ClassicSynchronousEngine,
+        )
+
+    def test_equal_values_of_different_types_decline_key_ordered_tables(self):
+        """1, True and 1.0 are equal but size and serialize differently:
+        FloodSet and early-stopping decline them, CRW (no ordering) not."""
+        from repro.baselines.early_stopping import EarlyStoppingConsensus
+        from repro.baselines.floodset import FloodSetConsensus
+        from repro.core.crw import CRWConsensus
+
+        values = [1, True, 1.0]
+        for cls in (FloodSetConsensus, EarlyStoppingConsensus):
+            procs = [cls(pid, 3, values[pid - 1], 2) for pid in (1, 2, 3)]
+            assert vector_table_for(procs) is None, cls.__name__
+        procs = [CRWConsensus(pid, 3, values[pid - 1]) for pid in (1, 2, 3)]
+        assert vector_table_for(procs) is not None
+
+    def test_wrappers_fall_back_to_per_process(self):
+        """Cross-model wrappers are not tables: detection must decline them."""
+        from repro.baselines.floodset import FloodSetConsensus
+        from repro.core.crw import CRWConsensus
+        from repro.simulation.classic_on_extended import ClassicOnExtended
+
+        inner = [FloodSetConsensus(pid, 3, pid, t=1) for pid in (1, 2, 3)]
+        wrapped = [ClassicOnExtended(p) for p in inner]
+        assert vector_table_for(wrapped) is None
+
+        # Mixed tables decline too, even when every class has a table.
+        mixed = [CRWConsensus(1, 3, 1), CRWConsensus(2, 3, 2),
+                 FloodSetConsensus(3, 3, 3, t=1)]
+        assert vector_table_for(mixed) is None
+
+    def test_batched_true_requires_a_table(self):
+        from repro.sync.api import NO_SEND, SyncProcess
+        from repro.sync.extended import ExtendedSynchronousEngine
+
+        class Plain(SyncProcess):
+            def send_phase(self, round_no):
+                return NO_SEND
+
+            def compute_phase(self, round_no, inbox):
+                self.decide(0)
+
+        procs = [Plain(pid, 3) for pid in (1, 2, 3)]
+        with pytest.raises(ConfigurationError, match="vector table"):
+            ExtendedSynchronousEngine(procs, t=2, trace=False, batched=True)
+        # Auto mode simply steps per process.
+        engine = ExtendedSynchronousEngine(procs, t=2, trace=False)
+        assert engine._vtable is None
+        engine.run()
+        assert engine.decisions == {1: 0, 2: 0, 3: 0}
 
 
 def test_sharded_sweep_runs_vectorized_cells(tmp_path):
@@ -266,7 +434,7 @@ def _table_class(algorithm: str) -> type:
 
 
 def _assert_parity(scenario: Scenario) -> None:
-    vector = execute(scenario, batched="vector")
+    vector = execute(scenario, batched=True)
     reference = execute(scenario, batched=False)
     assert vector.to_dict() == reference.to_dict(), scenario
     assert vector.raw.stats == reference.raw.stats, scenario
@@ -293,10 +461,10 @@ def test_array_backend_switch_builds_array_columns(backend):
         for algorithm in VECTOR_ALGORITHMS:
             procs = ALGORITHMS.get(algorithm).factory(4, 3, [1, 2, 3, 4], {})
             table = vector_table_for(procs)
-            column = getattr(table, "est", None)
-            if column is None:
-                column = table.known  # floodset
-            assert isinstance(column, array) == (backend == "array"), algorithm
+            if algorithm == "floodset":
+                assert type(table.known) is list  # Python-int masks
+                continue
+            assert isinstance(table.est, array) == (backend == "array"), algorithm
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -309,6 +477,23 @@ def test_generated_crash_rounds_match_object_path(backend, algorithm, data):
     scenario = data.draw(crash_cells(algorithm))
     with column_backend(backend):
         _assert_parity(scenario)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("algorithm", VECTOR_ALGORITHMS)
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_generated_object_workloads_match_object_path(backend, algorithm, data):
+    """The same generated crash grid over the value-type workloads: the
+    object columns (and the declining tables) equal the object path."""
+    scenario = data.draw(crash_cells(algorithm))
+    fields = WORKLOAD_CASES[data.draw(st.sampled_from(sorted(WORKLOAD_CASES)))]
+    scenario = scenario.with_(**fields)
+    with column_backend(backend):
+        vector = execute(scenario)
+        reference = execute(scenario, batched=False)
+    assert vector.to_dict() == reference.to_dict(), scenario
+    assert vector.raw.stats == reference.raw.stats, scenario
 
 
 class TestMultiTruncationRounds:
@@ -376,7 +561,7 @@ class TestMultiTruncationRounds:
             return result.outcomes, result.rounds_executed, result.stats
 
         with column_backend(backend):
-            vector = run("vector")
+            vector = run(True)
         assert vector == run(False)
         assert truncated[:2] == [5, 3], truncated
 
@@ -409,7 +594,7 @@ def test_early_flag_carried_only_by_a_truncated_send(backend):
         ).run()
 
     with column_backend(backend):
-        vector = run("vector")
+        vector = run(True)
     reference = run(False)
     assert vector.outcomes == reference.outcomes
     assert vector.stats == reference.stats
@@ -442,7 +627,7 @@ def test_send_widths_match_bit_size(monkeypatch, algorithm):
             execute(
                 Scenario(algorithm=algorithm, n=6, f=2, adversary=adversary,
                          seed=seed),
-                batched="vector",
+                batched=True,
             )
     assert checked["sends"] > 0
     assert checked["truncated"] > 0  # crash truncation keeps the width

@@ -1,4 +1,4 @@
-"""Unit tests for the typed array columns (`repro.util.columns`).
+"""Unit tests for the typed value columns (`repro.util.columns`).
 
 The accessors dispatch on the column's concrete type, so the stdlib
 ``array`` fallback branches are testable directly — by handing them an
@@ -14,10 +14,12 @@ from array import array
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.net.payload import SizedValue
 from repro.util.columns import (
     all_int64,
     any_at,
     assign_slice,
+    at,
     bool_column,
     fill_slice,
     int64_fits,
@@ -25,12 +27,13 @@ from repro.util.columns import (
     is_array_column,
     load_numpy,
     min_at,
+    object_column,
     or_at,
     put,
     take,
-    uint64_column,
+    value_column,
 )
-from repro.util.tables import fill_column, refill_column
+from repro.util.tables import fill_column, refill_column, refill_value_column
 
 np = load_numpy()
 needs_numpy = pytest.mark.skipif(np is None, reason="numpy not importable")
@@ -80,11 +83,19 @@ class TestConstructors:
         col = bool_column([True, False, True], offset=1)
         assert [bool(v) for v in col] == [False, True, False, True]
 
-    def test_uint64_column_holds_full_width_masks(self):
-        top = 1 << 63
-        col = uint64_column([top, 0], offset=1)
-        assert int(col[1]) == top
-        assert int(col[2]) == 0
+    def test_object_column_holds_values_and_wide_masks(self):
+        top = 1 << 100  # a bitmask past any machine word
+        col = object_column([top, "x"], offset=1)
+        assert col == [None, top, "x"]
+        assert not is_array_column(col)
+
+    def test_value_column_picks_its_kind_from_the_values(self):
+        assert is_array_column(value_column([1, 2], offset=1))
+        for values in ([1, True], [1.0, 2.0], ["a", "b"], [SizedValue(1, 8)],
+                       [1 << 63]):
+            col = value_column(values, offset=1)
+            assert col == [None, *values]
+            assert [type(v) for v in col[1:]] == [type(v) for v in values]
 
     def test_plain_lists_are_not_array_columns(self):
         assert not is_array_column([1, 2])
@@ -118,10 +129,28 @@ class TestAccessorsOnFallbackArrays:
     def test_min_any_or(self):
         col = array("q", [9, 4, 7, 2])
         assert min_at(col, [0, 2]) == 7
+        assert at(col, 3) == 2 and type(at(col, 3)) is int
         assert any_at(array("b", [0, 0, 1]), [0, 1]) is False
         assert any_at(array("b", [0, 0, 1]), [0, 2]) is True
-        assert or_at(array("Q", [1, 2, 4]), [0, 2]) == 5
-        assert or_at(array("Q", [1, 2, 4]), []) == 0
+
+
+class TestAccessorsOnObjectColumns:
+    def test_min_at_orders_by_key(self):
+        col = [None, SizedValue(9, 8), SizedValue(4, 64), SizedValue(7, 8)]
+        assert min_at(col, [1, 3], key=lambda v: v.value) == SizedValue(7, 8)
+        assert min_at(col, [1, 2, 3], key=lambda v: v.value).bits == 64
+
+    def test_or_at_on_wide_masks(self):
+        col = [1, 1 << 70, 4]
+        assert or_at(col, [0, 1]) == 1 | (1 << 70)
+        assert or_at(col, []) == 0
+
+    def test_at_take_put_keep_the_objects(self):
+        value = SizedValue(3, 16)
+        col = object_column([1, "a", 2.5], offset=1)
+        put(col, [1, 3], value)
+        assert at(col, 1) is value and at(col, 2) == "a"
+        assert take(col, [3, 2]) == [value, "a"]
 
     def test_assign_and_fill_slice(self):
         col = array("q", [0, 1, 2, 3])
@@ -155,10 +184,8 @@ class TestAccessorsOnNumpy:
     def test_reducers_return_builtin_scalars(self):
         col = int_column([9, 4, 7])
         assert type(min_at(col, [0, 2])) is int
+        assert type(at(col, 1)) is int and at(col, 1) == 4
         assert type(any_at(bool_column([True]), [0])) is bool
-        assert type(or_at(uint64_column([3, 5]), [0, 1])) is int
-        assert or_at(uint64_column([3, 5]), [0, 1]) == 7
-        assert or_at(uint64_column([3]), []) == 0
 
     def test_fill_slice(self):
         col = int_column([1, 2, 3])
@@ -195,3 +222,28 @@ class TestRefillHelpersAcrossBackends:
     def test_fill_column_constant(self, column):
         fill_column(column, 5, offset=2)
         assert list(column) == [0, 1, 5, 5]
+
+
+class TestRefillValueColumn:
+    """`refill_value_column` keeps the column while its kind fits."""
+
+    def test_same_kind_refills_in_place(self):
+        col = value_column([1, 2], offset=1)
+        assert refill_value_column(col, [3, 4], offset=1) is col
+        assert list(col[1:]) == [3, 4]
+        objects = value_column(["a", "b"], offset=1)
+        assert refill_value_column(objects, ["c", True], offset=1) is objects
+        assert objects == [None, "c", True]
+
+    def test_kind_change_swaps_the_column(self):
+        col = value_column([1, 2], offset=1)
+        swapped = refill_value_column(col, [1.5, "x"], offset=1)
+        assert swapped == [None, 1.5, "x"]
+        back = refill_value_column(swapped, [5, 6], offset=1)
+        assert is_array_column(back) and list(back[1:]) == [5, 6]
+
+    def test_length_mismatch_raises_on_either_path(self):
+        with pytest.raises(ConfigurationError, match="slots"):
+            refill_value_column(value_column([1, 2], offset=1), [1.5], offset=1)
+        with pytest.raises(ConfigurationError, match="slots"):
+            refill_value_column(value_column([1, 2], offset=1), [1], offset=1)
