@@ -91,6 +91,13 @@ class FloodSetConsensus(SyncProcess):
             self.decide(min(self.known, key=value_key))
 
 
+def _indistinguishable(x: Any, y: Any) -> bool:
+    """Whether ``x`` and ``y`` are the same value to every observer
+    (``==`` alone equates ``1`` with ``True``, ``0.0`` with ``-0.0`` and
+    ``(1,)`` with ``(True,)``)."""
+    return x is y or (type(x) is type(y) and x == y and repr(x) == repr(y))
+
+
 def key_order(values: Iterable[Any]) -> list[Any] | None:
     """The distinct ``values`` in ascending :func:`value_key` order.
 
@@ -110,7 +117,7 @@ def key_order(values: Iterable[Any]) -> list[Any] | None:
     try:
         for v in values:
             w = first.setdefault(value_key(v), v)
-            if w is not v and (type(w) is not type(v) or repr(w) != repr(v)):
+            if not _indistinguishable(w, v):
                 return None
         universe = sorted(first.values(), key=value_key)
     except TypeError:
@@ -122,12 +129,8 @@ def key_order(values: Iterable[Any]) -> list[Any] | None:
 
 
 def _same_values(a: list[Any], b: list[Any]) -> bool:
-    """Whether two universes hold indistinguishable values, slot by slot
-    (``==`` alone equates ``0.0`` with ``-0.0`` and ``(1,)`` with ``(True,)``)."""
-    return len(a) == len(b) and all(
-        x is y or (type(x) is type(y) and x == y and repr(x) == repr(y))
-        for x, y in zip(a, b)
-    )
+    """Whether two universes hold indistinguishable values, slot by slot."""
+    return len(a) == len(b) and all(map(_indistinguishable, a, b))
 
 
 @register_vector_table(FloodSetConsensus)

@@ -129,17 +129,24 @@ _TIMING_KEYS = {
 }
 
 
+def _check_keys(
+    given: dict[str, Any], accepted: set[str] | frozenset[str], kind: str, owner: str
+) -> None:
+    """Reject ``kind`` keys ``owner`` does not read instead of silently defaulting."""
+    unknown = set(given) - accepted
+    if unknown:
+        raise ConfigurationError(
+            f"unknown {kind} key(s) {sorted(unknown)} for {owner}; "
+            f"accepted: {sorted(accepted)}"
+        )
+
+
 def _check_timing_keys(timing: dict[str, Any], backend: str) -> None:
     """Reject typoed/unsupported timing keys instead of silently defaulting."""
     allowed = set(_TIMING_KEYS[backend])
     if backend == "async":
         allowed |= _DELAY_KEYS.get(timing.get("delay"), set())
-    unknown = set(timing) - allowed
-    if unknown:
-        raise ConfigurationError(
-            f"unknown timing key(s) {sorted(unknown)} for the {backend!r} "
-            f"backend; accepted: {sorted(allowed)}"
-        )
+    _check_keys(timing, allowed, "timing", f"the {backend!r} backend")
 
 
 def delay_model_from(timing: dict[str, Any]):
@@ -175,16 +182,6 @@ def delay_model_from(timing: dict[str, Any]):
     )
 
 
-def _check_param_keys(params: dict[str, Any], accepted: frozenset[str] | None, owner: str) -> None:
-    """Reject parameter keys ``owner`` does not read (None: undeclared)."""
-    if accepted is None:
-        return
-    unknown = set(params) - accepted
-    if unknown:
-        raise ConfigurationError(
-            f"unknown parameter key(s) {sorted(unknown)} for {owner}; "
-            f"accepted: {sorted(accepted)}"
-        )
 
 
 def _timed_crashes(scenario: Scenario, n: int, t: int, rng: RandomSource):
@@ -222,8 +219,9 @@ def execute(
     """
     check_batched(batched)
     algo = ALGORITHMS.get(scenario.algorithm)
-    _check_param_keys(
-        scenario.params, algo.param_keys, f"algorithm {scenario.algorithm!r}"
+    _check_keys(
+        scenario.params, algo.param_keys, "parameter",
+        f"algorithm {scenario.algorithm!r}",
     )
     if scenario.model is not None and scenario.model != algo.backend:
         raise ConfigurationError(
@@ -238,8 +236,8 @@ def execute(
 
     rng = RandomSource(scenario.seed)
     workload = WORKLOADS.get(scenario.workload)
-    _check_param_keys(
-        scenario.workload_params, workload.param_keys,
+    _check_keys(
+        scenario.workload_params, workload.param_keys, "parameter",
         f"workload {scenario.workload!r}",
     )
     proposals = workload.build(n, rng.spawn("workload"), dict(scenario.workload_params))

@@ -109,8 +109,8 @@ class AlgorithmDef:
     algorithms whose decision values are not proposals (interactive
     consistency decides vectors).  ``param_keys`` declares the
     ``Scenario.params`` keys the factory reads;
-    :func:`~repro.scenarios.execute.execute` rejects any other key.
-    ``None`` leaves the keys unchecked (registrations that declare none).
+    :func:`~repro.scenarios.execute.execute` rejects any other key (by
+    default every key: most algorithms read no params).
     """
 
     name: str
@@ -120,7 +120,7 @@ class AlgorithmDef:
     default_t: Callable[[int], int] = lambda n: n - 1
     spec: Callable[[Any], list[str]] | None = None
     description: str = ""
-    param_keys: frozenset[str] | None = None
+    param_keys: frozenset[str] = frozenset()
 
     def __post_init__(self) -> None:
         if self.backend not in BACKENDS:
@@ -152,13 +152,13 @@ class WorkloadDef:
     """A named proposal-vector generator: ``build(n, rng, params)``.
 
     ``param_keys`` declares the ``Scenario.workload_params`` keys
-    ``build`` reads (``None``: unchecked), as on :class:`AlgorithmDef`.
+    ``build`` reads (default: none), as on :class:`AlgorithmDef`.
     """
 
     name: str
     build: Callable[[int, RandomSource, dict[str, Any]], list[Any]]
     description: str = ""
-    param_keys: frozenset[str] | None = None
+    param_keys: frozenset[str] = frozenset()
 
 
 def _number_param(
@@ -168,7 +168,7 @@ def _number_param(
     value = params.get(key, default)
     try:
         return kind(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ConfigurationError(
             f"{owner}: parameter {key!r} must be {kind.__name__}-valued, "
             f"got {value!r}"
@@ -219,7 +219,6 @@ def _register_builtin_algorithms() -> None:
     )
 
     majority_t = lambda n: max(0, (n - 1) // 2)  # noqa: E731
-    no_params: frozenset[str] = frozenset()
 
     def crw_like(cls):
         return lambda n, t, props, params: [
@@ -237,7 +236,6 @@ def _register_builtin_algorithms() -> None:
         factory=crw_like(CRWConsensus),
         round_bound=lambda f, t: f + 1,
         description="the paper's Figure-1 algorithm (f+1 rounds, extended model)",
-        param_keys=no_params,
     ))
     register_algorithm(AlgorithmDef(
         name="eager-crw",
@@ -245,7 +243,6 @@ def _register_builtin_algorithms() -> None:
         factory=crw_like(EagerCRW),
         round_bound=lambda f, t: f + 1,
         description="ablation: decides on DATA alone (agreement breaks under crashes)",
-        param_keys=no_params,
     ))
     register_algorithm(AlgorithmDef(
         name="truncated-crw",
@@ -266,7 +263,6 @@ def _register_builtin_algorithms() -> None:
         backend="extended",
         factory=crw_like(IncreasingCommitCRW),
         description="ablation: COMMIT order reversed (safe, loses the f+1 bound)",
-        param_keys=no_params,
     ))
     register_algorithm(AlgorithmDef(
         name="full-broadcast-crw",
@@ -274,7 +270,6 @@ def _register_builtin_algorithms() -> None:
         factory=crw_like(FullBroadcastCRW),
         round_bound=lambda f, t: f + 1,
         description="ablation: coordinator broadcasts to everyone (extra traffic)",
-        param_keys=no_params,
     ))
     register_algorithm(AlgorithmDef(
         name="floodset",
@@ -282,7 +277,6 @@ def _register_builtin_algorithms() -> None:
         factory=classic_with_t(FloodSetConsensus),
         round_bound=lambda f, t: t + 1,
         description="textbook flooding consensus (t+1 rounds, classic model)",
-        param_keys=no_params,
     ))
     register_algorithm(AlgorithmDef(
         name="early-stopping",
@@ -290,7 +284,6 @@ def _register_builtin_algorithms() -> None:
         factory=classic_with_t(EarlyStoppingConsensus),
         round_bound=lambda f, t: min(f + 2, t + 1),
         description="early-stopping classic consensus (min(f+2, t+1) rounds)",
-        param_keys=no_params,
     ))
     register_algorithm(AlgorithmDef(
         name="interactive-consistency",
@@ -299,7 +292,6 @@ def _register_builtin_algorithms() -> None:
         round_bound=lambda f, t: t + 1,
         spec=lambda result: check_interactive_consistency(result),
         description="flooding IC: agree on the full proposal vector (t+1 rounds)",
-        param_keys=no_params,
     ))
     register_algorithm(AlgorithmDef(
         name="ic-consensus",
@@ -307,7 +299,6 @@ def _register_builtin_algorithms() -> None:
         factory=classic_with_t(ICConsensus),
         round_bound=lambda f, t: t + 1,
         description="the IC -> consensus reduction (decide the minimum entry)",
-        param_keys=no_params,
     ))
     register_algorithm(AlgorithmDef(
         name="mr99",
@@ -315,7 +306,6 @@ def _register_builtin_algorithms() -> None:
         factory=classic_with_t(MR99Consensus),
         default_t=majority_t,
         description="Mostefaoui-Raynal ◇S consensus (async, t < n/2)",
-        param_keys=no_params,
     ))
     register_algorithm(AlgorithmDef(
         name="chandra-toueg",
@@ -323,7 +313,6 @@ def _register_builtin_algorithms() -> None:
         factory=classic_with_t(ChandraTouegConsensus),
         default_t=majority_t,
         description="Chandra-Toueg ◇S consensus (async, t < n/2)",
-        param_keys=no_params,
     ))
     register_algorithm(AlgorithmDef(
         name="ffd",
@@ -331,7 +320,6 @@ def _register_builtin_algorithms() -> None:
         factory=None,
         default_t=lambda n: n - 1,
         description="fast-failure-detector consensus, decides by D + f*d (ALT02)",
-        param_keys=no_params,
     ))
 
 
