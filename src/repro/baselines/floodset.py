@@ -148,7 +148,8 @@ class _FloodSetVectorTable(VectorAlgorithm):
     (cached per mask with their bit width, so repeated relays cost a
     dict hit).  Once a round passes with no speaker nobody can learn
     anything again, so the table goes *quiet*: no sends, and only the
-    horizon decision, until the next :meth:`refill`.  Declines on a
+    horizon decision, until the next :meth:`refill` (:meth:`quiet_until`
+    lets the engine jump straight to the horizon).  Declines on a
     non-uniform horizon and on universes :func:`key_order` rejects.
     """
 
@@ -224,6 +225,10 @@ class _FloodSetVectorTable(VectorAlgorithm):
                 m ^= low
             cached = self._payloads[mask] = (frozenset(values), bits)
         return cached
+
+    def quiet_until(self) -> int | None:
+        # Quiet rounds before the horizon send nothing and decide nothing.
+        return self.horizon if self._quiet else None
 
     def send_phase_vector(self, round_no: int, active: Sequence[int]) -> list[VectorSend]:
         if self._quiet or round_no > self.horizon:

@@ -8,9 +8,20 @@ columnar files, the way zamlet's ``dse/`` sweeps are reduced by
 ``analyze_results.py``.
 
 Nothing here materializes the sweep: shard files stream one line at a
-time through the incremental aggregation of
-:func:`repro.scenarios.sweep.summarize_record_sources`, so working
+time through :func:`repro.fabric.shardio.iter_shard_lines`, so working
 memory is one batch line plus one accumulator per distinct cell group.
+The reduction is a *column fold*: a batch line's cells arrive factored
+per configuration (:class:`~repro.scenarios.scenario.CellColumn`), each
+of the line's distinct configurations finds its
+:class:`~repro.scenarios.sweep.CellGroups` accumulator once, and the
+``last_decision_round``, ``messages_sent``, ``bits_sent``, ``spec_ok``
+and ``sim_time`` columns are added straight in — no :class:`Scenario`
+or :class:`RunRecord` per cell.  Legacy ``{"record": ...}`` lines feed
+the same accumulators.  Cells are added in file order, so every sum —
+the float ``sim_time`` one included — is the one
+:func:`~repro.scenarios.sweep.summarize_records` computes over the same
+records, and since the fold reads through the resume index's own
+decoder, a line counts exactly when resume would accept it.
 The artifact carries the manifest's grid hash, which makes "same grid,
 same results" checkable byte-for-byte: an interrupted-and-resumed sweep
 must produce an atlas identical to an uninterrupted run's (pinned by
@@ -30,14 +41,14 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict
+from dataclasses import fields
 from typing import Any, Iterator
 
 from repro.errors import ConfigurationError
 from repro.fabric.manifest import QuarantineLog, ShardManifest
-from repro.fabric.shardio import iter_shard_records
+from repro.fabric.shardio import iter_shard_lines, iter_shard_records
 from repro.scenarios.record import RunRecord
-from repro.scenarios.sweep import CellSummary, summarize_record_sources
+from repro.scenarios.sweep import CellGroups, CellSummary
 
 __all__ = [
     "ATLAS_SCHEMA",
@@ -48,6 +59,9 @@ __all__ = [
 ]
 
 ATLAS_SCHEMA = 2
+
+#: Row keys: the summary's fields (all scalars, so no ``asdict`` deep copy).
+_ROW_FIELDS = tuple(f.name for f in fields(CellSummary))
 
 
 def _shard_files(manifest: ShardManifest) -> list[str]:
@@ -75,12 +89,31 @@ def iter_directory_records(
         yield from iter_shard_records(path)
 
 
+def _fold(manifest: ShardManifest) -> list[CellSummary]:
+    """Fold every shard file's columns into per-configuration summaries."""
+    groups = CellGroups()
+    for path in _shard_files(manifest):
+        for entry in iter_shard_lines(path):
+            if isinstance(entry, RunRecord):
+                groups.add_record(entry)
+                continue
+            cells, batch = entry
+            aggs = [groups.aggregate(config) for config in cells.configs]
+            for c, rounds, messages, bits, ok, sim_time in zip(
+                cells.config_of,
+                batch.last_decision_round,
+                batch.messages_sent,
+                batch.bits_sent,
+                batch.spec_ok,
+                batch.sim_time,
+            ):
+                aggs[c].add(rounds, messages, bits, ok, sim_time)
+    return groups.summaries()
+
+
 def atlas_summaries(directory: str | os.PathLike[str]) -> list[CellSummary]:
     """Reduce a completed shard directory to per-cell summaries, streaming."""
-    manifest = ShardManifest.load(os.fspath(directory))
-    return summarize_record_sources(
-        iter_shard_records(path) for path in _shard_files(manifest)
-    )
+    return _fold(ShardManifest.load(os.fspath(directory)))
 
 
 def build_atlas(directory: str | os.PathLike[str]) -> dict[str, Any]:
@@ -94,7 +127,10 @@ def build_atlas(directory: str | os.PathLike[str]) -> dict[str, Any]:
     directory = os.fspath(directory)
     manifest = ShardManifest.load(directory)
     quarantine = QuarantineLog.load(directory)
-    rows = [asdict(summary) for summary in atlas_summaries(directory)]
+    rows = [
+        {name: getattr(summary, name) for name in _ROW_FIELDS}
+        for summary in _fold(manifest)
+    ]
     return {
         "schema": ATLAS_SCHEMA,
         "cells": manifest.cells,

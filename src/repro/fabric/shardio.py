@@ -19,9 +19,22 @@ Durability discipline:
   per-cell resume index is rebuilt from whatever decodes
   (:func:`load_shard_index`).
 
-Reading is streaming: :func:`iter_shard_records` yields records line by
-line, which is what lets the atlas layer reduce a million-cell sweep
-without ever materializing it.
+Reading is streaming, and there is one reader: :func:`iter_shard_lines`
+decodes a file line by line and is the only place that decides which
+lines count.  A batch line comes out with its cells factored per
+configuration (a :class:`~repro.scenarios.scenario.CellColumn`), so the
+consumers pay per configuration what does not vary per cell:
+
+* :func:`load_shard_index` splices each cell's canonical key from a
+  per-configuration head and tail, and builds a record per cell only
+  because resume hands records back;
+* :func:`iter_shard_records` yields records, one line at a time;
+* the atlas (:mod:`repro.fabric.atlas`) folds the numeric columns
+  straight into per-configuration aggregates and builds no record at
+  all.
+
+Because all three read through the same decoder, the atlas counts a
+line exactly when the resume index accepts it.
 """
 
 from __future__ import annotations
@@ -32,11 +45,12 @@ from typing import IO, Iterator
 
 from repro.errors import ConfigurationError
 from repro.scenarios.record import RecordBatch, RunRecord
-from repro.scenarios.scenario import scenario_key
+from repro.scenarios.scenario import CellColumn, scenario_key
 
 __all__ = [
     "append_batch",
     "heal_torn_tail",
+    "iter_shard_lines",
     "iter_shard_records",
     "load_shard_index",
 ]
@@ -84,12 +98,24 @@ def heal_torn_tail(path: str) -> None:
             fh.write(b"\n")
 
 
-def iter_shard_records(path: str) -> Iterator[RunRecord]:
-    """Stream the decodable records of one shard file, in file order.
+#: What decoding a foreign or malformed line raises: wrong shapes (a list
+#: where a dict belongs), missing keys, values that do not convert.
+_UNDECODABLE = (
+    AttributeError, ConfigurationError, IndexError, KeyError, TypeError, ValueError,
+)
 
-    Both line layouts decode; torn, foreign, or incompatible lines are
-    skipped (their cells are simply not listed as done).  The generator
-    holds one line's records at a time.
+
+def iter_shard_lines(
+    path: str,
+) -> Iterator[RunRecord | tuple[CellColumn, RecordBatch]]:
+    """Stream the decodable lines of one shard file, in file order.
+
+    A legacy ``{"record": ...}`` line yields its :class:`RunRecord`; a
+    ``{"batch": ...}`` line yields ``(cells, batch)`` from
+    :meth:`RecordBatch.decode_payload`, the batch's ``scenarios`` column
+    left for the caller to fill.  Torn, foreign, or incompatible lines
+    are skipped (their cells are simply not listed as done).  The
+    generator holds one line at a time.
     """
     try:
         fh = open(path, encoding="utf-8")
@@ -110,19 +136,42 @@ def iter_shard_records(path: str) -> Iterator[RunRecord]:
             if isinstance(row, dict):
                 try:
                     yield RunRecord.from_dict(row)
-                except (ConfigurationError, KeyError, TypeError, ValueError):
+                except _UNDECODABLE:
                     pass
                 continue
             payload = entry.get("batch")
             if isinstance(payload, dict):
                 try:
-                    records = RecordBatch.from_payload(payload).to_records()
-                except (ConfigurationError, IndexError, KeyError,
-                        TypeError, ValueError):
+                    decoded = RecordBatch.decode_payload(payload)
+                except _UNDECODABLE:
                     continue  # foreign/incompatible batch line
-                yield from records
+                yield decoded
+
+
+def iter_shard_records(path: str) -> Iterator[RunRecord]:
+    """Stream the decodable records of one shard file, in file order."""
+    for entry in iter_shard_lines(path):
+        if isinstance(entry, RunRecord):
+            yield entry
+        else:
+            cells, batch = entry
+            batch.scenarios = cells.scenarios()
+            yield from batch.to_records()
 
 
 def load_shard_index(path: str) -> dict[str, RunRecord]:
-    """Per-cell resume index of one shard file: canonical key → record."""
-    return {scenario_key(r.scenario): r for r in iter_shard_records(path)}
+    """Per-cell resume index of one shard file: canonical key → record.
+
+    Batch lines key their cells per configuration
+    (:meth:`CellColumn.keys <repro.scenarios.scenario.CellColumn.keys>`);
+    a later line's record for a key replaces an earlier one's.
+    """
+    index: dict[str, RunRecord] = {}
+    for entry in iter_shard_lines(path):
+        if isinstance(entry, RunRecord):
+            index[scenario_key(entry.scenario)] = entry
+        else:
+            cells, batch = entry
+            batch.scenarios = cells.scenarios()
+            index.update(zip(cells.keys(), batch.to_records()))
+    return index

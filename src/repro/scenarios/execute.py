@@ -141,12 +141,38 @@ def _check_keys(
         )
 
 
+#: Every timing key some backend reads: the round-based backends read
+#: none, but accept these so a mixed-backend grid can share one base
+#: ``timing``.
+_ANY_TIMING_KEYS = frozenset().union(*_TIMING_KEYS.values(), *_DELAY_KEYS.values())
+
+
 def _check_timing_keys(timing: dict[str, Any], backend: str) -> None:
     """Reject typoed/unsupported timing keys instead of silently defaulting."""
+    if backend not in _TIMING_KEYS:
+        _check_keys(
+            timing, _ANY_TIMING_KEYS, "timing",
+            f"any backend (the {backend!r} backend reads none)",
+        )
+        return
     allowed = set(_TIMING_KEYS[backend])
     if backend == "async":
         allowed |= _DELAY_KEYS.get(timing.get("delay"), set())
     _check_keys(timing, allowed, "timing", f"the {backend!r} backend")
+
+
+def _timing_number(
+    timing: dict[str, Any], key: str, default: float, backend: str, cast=float
+) -> Any:
+    """``cast(timing.get(key, default))``, failing as a configuration error."""
+    value = timing.get(key, default)
+    try:
+        return cast(value)
+    except (OverflowError, TypeError, ValueError):
+        raise ConfigurationError(
+            f"timing {key!r} must be a number for the {backend!r} backend, "
+            f"got {value!r}"
+        ) from None
 
 
 def delay_model_from(timing: dict[str, Any]):
@@ -158,24 +184,23 @@ def delay_model_from(timing: dict[str, Any]):
         UniformDelay,
     )
 
+    def number(key: str, default: float) -> float:
+        return _timing_number(timing, key, default, "async")
+
     name = timing.get("delay")
     if name is None:
         return None
     if name == "constant":
-        return ConstantDelay(value=float(timing.get("value", 1.0)))
+        return ConstantDelay(value=number("value", 1.0))
     if name == "uniform":
-        return UniformDelay(
-            lo=float(timing.get("lo", 0.5)), hi=float(timing.get("hi", 1.5))
-        )
+        return UniformDelay(lo=number("lo", 0.5), hi=number("hi", 1.5))
     if name == "lognormal":
-        return LogNormalDelay(
-            mu=float(timing.get("mu", 0.0)), sigma=float(timing.get("sigma", 0.5))
-        )
+        return LogNormalDelay(mu=number("mu", 0.0), sigma=number("sigma", 0.5))
     if name == "gst":
         return GstDelay(
-            gst=float(timing.get("gst", 10.0)),
-            wild=float(timing.get("wild", 5.0)),
-            bound=float(timing.get("bound", 1.0)),
+            gst=number("gst", 10.0),
+            wild=number("wild", 5.0),
+            bound=number("bound", 1.0),
         )
     raise ConfigurationError(
         f"unknown delay model {name!r}; available: constant, uniform, lognormal, gst"
@@ -284,6 +309,8 @@ def _execute_sync(
     from repro.sync.extended import ExtendedSynchronousEngine
     from repro.sync.spec import check_consensus
 
+    if scenario.timing:
+        _check_timing_keys(scenario.timing, algo.backend)
     adversary_name = scenario.adversary
     if algo.backend == "classic" and adversary_name == "random":
         adversary_name = "random-classic"  # classic model: no control step
@@ -388,11 +415,15 @@ def _execute_async(
         procs = algo.factory(n, t, proposals, dict(scenario.params))
         if runner is None:
             detector = DetectorSpec(
-                stabilization_time=float(timing.get("stabilization_time", 0.0)),
-                detection_latency=float(timing.get("detection_latency", 1.0)),
-                churn_rate=float(timing.get("churn_rate", 0.0)),
-                false_suspicion_duration=float(
-                    timing.get("false_suspicion_duration", 1.0)
+                stabilization_time=_timing_number(
+                    timing, "stabilization_time", 0.0, "async"
+                ),
+                detection_latency=_timing_number(
+                    timing, "detection_latency", 1.0, "async"
+                ),
+                churn_rate=_timing_number(timing, "churn_rate", 0.0, "async"),
+                false_suspicion_duration=_timing_number(
+                    timing, "false_suspicion_duration", 1.0, "async"
                 ),
             )
             runner = AsyncRunner(
@@ -409,8 +440,8 @@ def _execute_async(
         else:
             runner.reset(procs, crashes=crashes, rng=rng.spawn("engine"))
     result = runner.run(
-        until=float(timing.get("until", 10_000.0)),
-        max_events=int(timing.get("max_events", 2_000_000)),
+        until=_timing_number(timing, "until", 10_000.0, "async"),
+        max_events=_timing_number(timing, "max_events", 2_000_000, "async", int),
     )
     violations = tuple(result.check_consensus())
     last_round = max(result.decision_rounds.values(), default=0)
@@ -452,9 +483,9 @@ def _execute_ffd(
     _check_timing_keys(timing, "ffd")
     spec = TimedSpec(
         n=n,
-        D=float(timing.get("D", 100.0)),
-        d=float(timing.get("d", 1.0)),
-        delta_min=float(timing.get("delta_min", 0.3)),
+        D=_timing_number(timing, "D", 100.0, "ffd"),
+        d=_timing_number(timing, "d", 1.0, "ffd"),
+        delta_min=_timing_number(timing, "delta_min", 0.3, "ffd"),
     )
     crashes = [
         TimedCrash(pid, time)

@@ -30,11 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping, Sequence
 
-from repro.scenarios.scenario import (
-    Scenario,
-    apply_scenario_delta,
-    scenario_delta,
-)
+from repro.scenarios.scenario import CellColumn, Scenario, scenario_delta
 
 __all__ = ["RunRecord", "RecordBatch", "jsonable"]
 
@@ -347,23 +343,55 @@ class RecordBatch:
         as ints off a worker pipe and as strings out of
         ``json.loads``; both land as ints in the columns.
         """
+        cells, batch = cls.decode_payload(payload)
+        batch.scenarios = cells.scenarios()
+        return batch
+
+    @classmethod
+    def decode_payload(
+        cls, payload: Mapping[str, Any]
+    ) -> tuple[CellColumn, "RecordBatch"]:
+        """Validate and decode a payload, leaving its scenarios factored.
+
+        Returns the cells as a :class:`~repro.scenarios.scenario.CellColumn`
+        and a batch holding every other column; its ``scenarios`` column
+        stays empty until the caller fills it from ``cells.scenarios()``
+        (:meth:`from_payload` does).  Readers that only aggregate or key
+        the cells never build a :class:`Scenario` per cell.  Every check
+        runs here: a payload decodes exactly when :meth:`from_payload`
+        succeeds, and every column has one entry per cell.
+        """
+        cells = CellColumn.from_deltas(payload["base"], payload["cells"])
         batch = cls()
-        base = payload["base"]
-        base_scenario = Scenario.from_dict(base) if base else None
-        batch.scenarios = [
-            apply_scenario_delta(base_scenario, delta) for delta in payload["cells"]
-        ]
+        # int() of every pid key, memoized per payload: each cell repeats
+        # the same n keys, so the conversions run once per distinct key.
+        pid = _IntMemo().__getitem__
         batch.decisions = [
-            {int(pid): v for pid, v in cell.items()} for cell in payload["decisions"]
+            dict(zip(map(pid, cell), cell.values())) for cell in payload["decisions"]
         ]
         batch.violations = [tuple(v) for v in payload["violations"]]
         for name in _PLAIN_COLUMNS:
             setattr(batch, name, list(payload[name]))
         batch.decision_rounds = [
-            {int(pid): int(r) for pid, r in cell.items()}
+            dict(zip(map(pid, cell), map(int, cell.values())))
             for cell in batch.decision_rounds
         ]
-        return batch
+        width = len(cells)
+        for name in ("decisions", "violations", *_PLAIN_COLUMNS):
+            if len(getattr(batch, name)) != width:
+                raise ValueError(
+                    f"batch column {name!r} has {len(getattr(batch, name))} "
+                    f"entries for {width} cells"
+                )
+        return cells, batch
+
+
+class _IntMemo(dict):
+    """``memo[key] == int(key)``, converting each distinct key once."""
+
+    def __missing__(self, key: Any) -> int:
+        value = self[key] = int(key)
+        return value
 
 
 def _check_batch_columns() -> None:

@@ -31,7 +31,6 @@ byte-identical across executors (``tests/scenarios/test_sweep.py``,
 
 from __future__ import annotations
 
-import json
 import os
 import time
 import warnings
@@ -42,11 +41,17 @@ from repro.errors import ConfigurationError
 from repro.scenarios.execute import EngineLease, execute
 from repro.scenarios.record import RecordBatch, RunRecord
 from repro.scenarios.registry import ADVERSARIES, ALGORITHMS
-from repro.scenarios.scenario import Scenario, scenario_key
+from repro.scenarios.scenario import (
+    Scenario,
+    config_identity,
+    identity_key,
+    scenario_key,
+)
 
 __all__ = [
     "SweepRunner",
     "expand_grid",
+    "CellGroups",
     "CellSummary",
     "summarize_records",
     "summarize_record_sources",
@@ -382,33 +387,6 @@ class CellSummary:
     mean_sim_time: float | None = None
 
 
-def _group_key(s: Scenario) -> tuple:
-    """Cheap full non-seed configuration key, same partition as the old
-    per-record JSON config dump.
-
-    The dict-valued fields are keyed by their canonical JSON (not
-    ``repr``): a summary may mix records built from live scenarios with
-    records resumed through ``json.loads``, and JSON-equivalent values —
-    a tuple-valued param vs its decoded list — must land in one group,
-    exactly as the full config dump merged them.  The dicts are almost
-    always empty, so this stays far cheaper than the Scenario copy + full
-    JSON dump per record it replaced.
-    """
-    return (
-        s.algorithm,
-        s.n,
-        s.t,
-        s.f,
-        s.adversary,
-        s.workload,
-        json.dumps(s.workload_params, sort_keys=True),
-        json.dumps(s.timing, sort_keys=True),
-        json.dumps(s.params, sort_keys=True),
-        s.max_rounds,
-        s.model,
-    )
-
-
 class _CellAggregate:
     """Incremental accumulator for one cell group (streaming summaries)."""
 
@@ -416,7 +394,7 @@ class _CellAggregate:
                  "sum_messages", "sum_bits", "spec_ok", "sum_time", "n_time")
 
     def __init__(self, scenario: Scenario) -> None:
-        self.scenario = scenario  # the group's first record's scenario
+        self.scenario = scenario  # the group's configuration, any seed
         self.seeds = 0
         self.sum_rounds = 0
         self.max_round = 0
@@ -426,16 +404,25 @@ class _CellAggregate:
         self.sum_time = 0.0
         self.n_time = 0
 
-    def add(self, record: RunRecord) -> None:
+    def add(
+        self,
+        last_round: int,
+        messages: int,
+        bits: int,
+        spec_ok: bool,
+        sim_time: float | None,
+    ) -> None:
+        """Fold one cell's ``last_decision_round``, ``messages_sent``,
+        ``bits_sent``, ``spec_ok`` and ``sim_time``."""
         self.seeds += 1
-        self.sum_rounds += record.last_decision_round
-        if record.last_decision_round > self.max_round or self.seeds == 1:
-            self.max_round = record.last_decision_round
-        self.sum_messages += record.messages_sent
-        self.sum_bits += record.bits_sent
-        self.spec_ok = self.spec_ok and record.spec_ok
-        if record.sim_time is not None:
-            self.sum_time += record.sim_time
+        self.sum_rounds += last_round
+        if last_round > self.max_round or self.seeds == 1:
+            self.max_round = last_round
+        self.sum_messages += messages
+        self.sum_bits += bits
+        self.spec_ok = self.spec_ok and spec_ok
+        if sim_time is not None:
+            self.sum_time += sim_time
             self.n_time += 1
 
     def summary(self) -> CellSummary:
@@ -456,6 +443,58 @@ class _CellAggregate:
         )
 
 
+class CellGroups:
+    """One :class:`_CellAggregate` per configuration (everything but the seed).
+
+    Groups are keyed by :func:`~repro.scenarios.scenario.config_identity`,
+    the same per-configuration identity the canonical keys are spliced
+    from, so records built from live scenarios and records resumed
+    through ``json.loads`` land in one group exactly when their keys
+    differ only in the seed.  Sums accumulate in the order cells are
+    added; :meth:`summaries` orders the rows.
+    """
+
+    __slots__ = ("_groups",)
+
+    def __init__(self) -> None:
+        self._groups: dict[tuple, _CellAggregate] = {}
+
+    def aggregate(self, config: Scenario) -> _CellAggregate:
+        """The accumulator of ``config``'s group (created on first sight)."""
+        key = config_identity(config)
+        agg = self._groups.get(key)
+        if agg is None:
+            agg = self._groups[key] = _CellAggregate(config)
+        return agg
+
+    def add_record(self, record: RunRecord) -> None:
+        self.aggregate(record.scenario).add(
+            record.last_decision_round,
+            record.messages_sent,
+            record.bits_sent,
+            record.spec_ok,
+            record.sim_time,
+        )
+
+    def summaries(self) -> list[CellSummary]:
+        """One row per group, ordered by (algorithm, n, t, f, adversary)
+        and then the full non-seed configuration's canonical JSON."""
+
+        def order(item: tuple[tuple, _CellAggregate]) -> tuple:
+            identity, agg = item
+            s = agg.scenario
+            return (
+                s.algorithm,
+                s.n,
+                -1 if s.t is None else s.t,  # t=None ("auto") sorts first
+                s.f,
+                s.adversary,
+                identity_key(identity, 0),  # the configuration's JSON at seed 0
+            )
+
+        return [agg.summary() for _, agg in sorted(self._groups.items(), key=order)]
+
+
 def summarize_record_sources(
     sources: Iterable[Iterable[RunRecord] | RecordBatch],
 ) -> list[CellSummary]:
@@ -471,28 +510,13 @@ def summarize_record_sources(
     records to :func:`summarize_records` at once (sums accumulate in the
     same record order).
     """
-    groups: dict[tuple, _CellAggregate] = {}
+    groups = CellGroups()
     for source in sources:
         if isinstance(source, RecordBatch):
             source = source.to_records()
         for record in source:
-            key = _group_key(record.scenario)
-            agg = groups.get(key)
-            if agg is None:
-                agg = groups[key] = _CellAggregate(record.scenario)
-            agg.add(record)
-    ordered = sorted(
-        groups.values(),
-        key=lambda agg: (
-            (s := agg.scenario).algorithm,
-            s.n,
-            -1 if s.t is None else s.t,  # t=None ("auto") sorts first
-            s.f,
-            s.adversary,
-            s.with_(seed=0).to_json(),  # the full non-seed configuration
-        ),
-    )
-    return [agg.summary() for agg in ordered]
+            groups.add_record(record)
+    return groups.summaries()
 
 
 def summarize_records(

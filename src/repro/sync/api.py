@@ -318,6 +318,17 @@ class VectorAlgorithm(abc.ABC):
     ) -> dict[int, Any]:
         """Consume the round's (post-truncation) sends; return decisions."""
 
+    def quiet_until(self) -> int | None:
+        """The next round this table can act in, when it has gone quiet.
+
+        A quiet table sends nothing, changes no state and decides nothing
+        in every round before the returned one, whatever crashes: the
+        engine's :meth:`~repro.sync.engine.SynchronousEngine.run` then
+        resolves those rounds' scheduled crashes without stepping them.
+        ``None`` (the default) means the table may act next round.
+        """
+        return None
+
     #: Refill capability advertisement: tables that implement
     #: :meth:`refill` set this True, letting a leased engine skip the
     #: n-object process factory entirely on same-configuration reruns.

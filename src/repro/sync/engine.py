@@ -881,9 +881,38 @@ class SynchronousEngine:
         budget = (self.n + 1) if max_rounds is None else max_rounds
         if budget < 1:
             raise ConfigurationError(f"max_rounds must be >= 1, got {budget}")
+        table = self._vtable
         while self._active and self._round < budget:
+            if table is not None:
+                acts = table.quiet_until()
+                if acts is not None and acts - 1 > self._round:
+                    self._skip_quiet(min(acts - 1, budget))
+                    continue
             self.step()
         return self.result()
+
+    def _skip_quiet(self, last: int) -> None:
+        """Advance through rounds a quiet vector table leaves silent.
+
+        Stepping such a round sends nothing and decides nothing; all it
+        does is resolve the round's scheduled crashes against empty
+        sends.  This does exactly that — the same ``resolve`` calls in
+        the same order, so the same rng draws — and records the crash
+        rounds, through round ``last`` or until no process is active.
+        """
+        crashes = self._crashes_by_round
+        active = self._active
+        while active and self._round < last:
+            self._round += 1
+            events = crashes.get(self._round)
+            if not events:
+                continue
+            for pid, event in events.items():
+                if pid in active:
+                    event.resolve((), (), self.rng)
+                    self._crashed_round[pid] = self._round
+                    active.discard(pid)
+                    self._active_order.remove(pid)
 
     def result(self) -> RunResult:
         """Materialize the current :class:`~repro.sync.result.RunResult`."""

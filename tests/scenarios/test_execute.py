@@ -105,6 +105,37 @@ class TestRejections:
         with pytest.raises(ConfigurationError, match="timing key"):
             execute(Scenario(algorithm="ffd", n=6, timing={"DD": 50.0}))
 
+    @pytest.mark.parametrize("scenario, key, backend", [
+        (Scenario(algorithm="mr99", n=4, timing={"delay": "uniform", "lo": "x"}),
+         "lo", "async"),
+        (Scenario(algorithm="mr99", n=4, timing={"until": "soon"}), "until", "async"),
+        (Scenario(algorithm="mr99", n=4, timing={"max_events": "many"}),
+         "max_events", "async"),
+        (Scenario(algorithm="mr99", n=4, timing={"max_events": float("inf")}),
+         "max_events", "async"),
+        (Scenario(algorithm="chandra-toueg", n=4, timing={"churn_rate": None}),
+         "churn_rate", "async"),
+        (Scenario(algorithm="ffd", n=4, timing={"D": "big"}), "D", "ffd"),
+    ], ids=["lo", "until", "max_events", "max_events-inf", "churn_rate", "D"])
+    def test_non_numeric_timing_values_rejected(self, scenario, key, backend):
+        with pytest.raises(ConfigurationError, match=rf"timing '{key}'.*'{backend}'"):
+            execute(scenario)
+
+    @pytest.mark.parametrize("algorithm", ["crw", "floodset"])  # extended, classic
+    def test_sync_backends_reject_timing_keys_no_backend_reads(self, algorithm):
+        with pytest.raises(ConfigurationError, match="'bogus'"):
+            execute(Scenario(algorithm=algorithm, n=4, timing={"bogus": 1}))
+
+    def test_sync_backends_accept_other_backends_timing_keys(self):
+        # A mixed-backend grid shares one base timing across its cells.
+        shared = {"delay": "uniform", "lo": 0.5, "D": 50.0, "until": 100.0}
+        for algorithm in ("crw", "mr99", "ffd"):
+            timing = shared if algorithm == "crw" else {
+                k: v for k, v in shared.items()
+                if (k == "D") == (algorithm == "ffd")
+            }
+            assert execute(Scenario(algorithm=algorithm, n=4, timing=timing)).spec_ok
+
     def test_unknown_workload_param_key_rejected(self):
         # No workload reads 'bogus': reject it, do not run the defaults.
         with pytest.raises(ConfigurationError, match=r"'bogus'.*distinct-ints"):
@@ -321,6 +352,9 @@ class TestCli:
         assert main(["scenario", "run", "-a", "paxos", "--n", "4"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: unknown algorithm 'paxos'")
+        assert main(["scenario", "run", "-a", "crw", "--n", "4",
+                     "--timing", "bogus=1"]) == 2
+        assert "'bogus'" in capsys.readouterr().err
 
     def test_cli_run_uses_registered_spec(self, capsys):
         # `run` accepts every registered algorithm; the CLI must
