@@ -48,9 +48,13 @@ worker counts, steal schedules, and kill/resume histories (pinned by
 ``tests/fabric/``); quarantined cells are simply absent (``None`` in
 collected results).
 
-The cell wire format is PR 5's :func:`CellDelta
+The cell wire format is the :func:`CellDelta
 <repro.scenarios.scenario.scenario_delta>` against one shared base
-scenario, and workers reuse engines through an
+scenario.  The parent computes it once per run of cells of one
+configuration (:func:`~repro.scenarios.scenario.scenario_deltas`), a
+worker decodes a shard's deltas once per configuration
+(:class:`~repro.scenarios.scenario.CellColumn`), and workers compile
+plans and reuse engines through an
 :class:`~repro.scenarios.execute.EngineLease` exactly like the serial
 executor; the parity discipline carries over verbatim.
 """
@@ -76,7 +80,12 @@ from repro.fabric.shm import ScalarSlab
 from repro.fabric.supervisor import Supervisor, WorkerHandle
 from repro.scenarios.execute import EngineLease, execute
 from repro.scenarios.record import RecordBatch, RunRecord
-from repro.scenarios.scenario import Scenario, scenario_delta, scenario_key
+from repro.scenarios.scenario import (
+    CellColumn,
+    Scenario,
+    scenario_deltas,
+    scenario_key,
+)
 
 __all__ = ["ShardedSweep"]
 
@@ -109,7 +118,6 @@ def _shard_chunk_size(cells: int, chunk_size: int | None) -> int:
 
 
 def _run_shard(
-    base: Scenario,
     base_dict: dict[str, Any],
     lease: EngineLease,
     path: str,
@@ -138,6 +146,11 @@ def _run_shard(
         heal_torn_tail(path)
     else:
         done = {}
+    # One validation per configuration, not a ``with_`` per cell; keys
+    # are spliced per configuration too, and only for a resumed file.
+    column = CellColumn.from_deltas(base_dict, deltas)
+    cells = column.scenarios()
+    keys = column.keys() if done else None
     flush_every = _shard_chunk_size(len(deltas), chunk_size)
     started = time.perf_counter()
     records: list[RunRecord] = []
@@ -167,9 +180,9 @@ def _run_shard(
             index = start + offset
             if index in skip:
                 continue
-            cell = base.with_(**delta) if delta else base
-            if done:  # resume: key lookups only when the file had records
-                prior = done.get(scenario_key(cell))
+            cell = cells[offset]
+            if keys is not None:  # resume: lookups only when the file had records
+                prior = done.get(keys[offset])
                 if prior is not None:
                     records.append(prior)
                     resumed += 1
@@ -232,7 +245,6 @@ def _worker_main(
     for end in inherited:
         end.close()
     slab = ScalarSlab.attach(shm_name, capacity)
-    base = Scenario.from_dict(base_dict)
     lease = EngineLease()
     completed = 0
     if faults is not None and faults.kill_now(completed, worker_id, incarnation):
@@ -258,7 +270,7 @@ def _worker_main(
                     conn.send(("hb", sid))
             try:
                 result = _run_shard(
-                    base, base_dict, lease, os.path.join(directory, file_name),
+                    base_dict, lease, os.path.join(directory, file_name),
                     deltas, chunk_size, slab, slot,
                     start=start, skip=frozenset(skip), attempt=attempt,
                     faults=faults, torn=torn, notify=notify,
@@ -605,10 +617,7 @@ class ShardedSweep:
                 if spec is None:
                     return
                 slot = handle.free_slots.pop()
-                deltas = [
-                    scenario_delta(base, cells[i])
-                    for i in range(spec.start, spec.stop)
-                ]
+                deltas = scenario_deltas(base, cells[spec.start:spec.stop])
                 skip = sorted(skips.get(spec.id, ()))
                 try:
                     handle.conn.send((
@@ -686,6 +695,7 @@ class ShardedSweep:
             shard_records: list[RunRecord] = []
             executed = resumed = 0
             started = time.perf_counter()
+            deltas = scenario_deltas(base, cells[spec.start:spec.stop])
             with open(path, "a", encoding="utf-8") as fh:
                 for i in range(spec.start, spec.stop):
                     if i in skip:
@@ -711,8 +721,7 @@ class ShardedSweep:
                         skip = skips[spec.id]
                         continue
                     append_batch(
-                        fh, [record], base_dict,
-                        [scenario_delta(base, cells[i])],
+                        fh, [record], base_dict, [deltas[i - spec.start]]
                     )
                     shard_records.append(record)
                     executed += 1

@@ -1,22 +1,40 @@
 """``execute(scenario) -> RunRecord``: one front door over four backends.
 
-The facade resolves the scenario's names against the registries, builds
-the proposal workload and crash plan from labelled child RNG streams
-(``workload`` / ``adversary`` / ``engine``), dispatches on the
-algorithm's backend, and reduces whatever the backend returns to the
-normalized :class:`~repro.scenarios.record.RunRecord`.
+The facade compiles a scenario's configuration — every field but the
+seed — into a plan, then runs the plan for the scenario's seed:
+
+* the **plan** resolves the names against the registries and makes every
+  check that does not depend on the seed: ``batched``, the param,
+  workload and timing keys, ``model``, ``t``/``f``, the adversary and
+  engine class, and the continuous-time backends' timing numbers.  A
+  check that fails raises :class:`~repro.errors.ConfigurationError`
+  before any proposal is drawn;
+* the **run** builds the proposal workload and crash plan from labelled
+  child RNG streams (``workload`` / ``adversary`` / ``engine``), drives
+  the algorithm's backend, checks the spec and reduces whatever the
+  backend returns to the normalized
+  :class:`~repro.scenarios.record.RunRecord`.
+
+An :class:`EngineLease` caches plans per configuration and engines per
+shape, so a sweep compiles each configuration once and runs every seed
+of it on a reused engine; without a lease a call compiles and runs one
+cell.  On the round-based backends a plan also keeps its crash schedule
+when building it drew nothing from the ``adversary`` stream
+(``coordinator-killer``, ``staggered``, ``none`` …): such a schedule is
+the same for every seed.
 
 Determinism contract: the labelled RNG tree makes a record a pure
 function of its scenario — child streams depend only on ``(seed,
 label)``, never on draw order — so a cell's record is byte-identical
-whichever executor, stepping mode or engine lease produced it (pinned by
-``tests/scenarios/test_columnar_parity.py`` and the stepping-mode parity
+whichever executor, stepping mode, plan cache or engine lease produced
+it (pinned by ``tests/scenarios/test_columnar_parity.py``,
+``tests/scenarios/test_plan_cache.py`` and the stepping-mode parity
 grids under ``tests/sync/``).
 """
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Callable
 
 from repro.errors import ConfigurationError
 from repro.scenarios.record import RunRecord
@@ -28,51 +46,69 @@ from repro.util.rng import RandomSource
 __all__ = ["execute", "resolved_t", "delay_model_from", "EngineLease"]
 
 
+def _items_repr(params: dict[str, Any]) -> str:
+    """``repr(sorted(params.items()))``, without the sort for the usual ``{}``."""
+    return repr(sorted(params.items())) if params else "[]"
+
+
 class EngineLease:
-    """A cache of reusable engines, keyed by non-seed scenario configuration.
+    """A cache of compiled plans and reusable engines for :func:`execute`.
 
-    Per-run engine construction — process-table bookkeeping, schedule
-    maps, detector/network/context wiring on the asynchronous backend —
-    is a fixed cost that seed-dense sweeps pay thousands of times for
-    identically shaped runs.  A lease passed to :func:`execute` amortizes
-    it: the first run of a configuration builds its engine as usual, and
-    every later run with the same key **resets** that engine
-    (:meth:`repro.sync.engine.SynchronousEngine.reset` /
-    :meth:`repro.asyncsim.runner.AsyncRunner.reset`) instead of
-    rebuilding it.
+    Two caches, both small LRUs, amortize what seed-dense sweeps would
+    otherwise pay for every cell:
 
-    The key is everything that shapes the engine except the seed: the
-    scenario's non-seed fields plus the ``trace``/``batched`` execute
-    flags.  Reset is pinned byte-identical to fresh construction
-    (``tests/scenarios/test_engine_reuse.py``), so leased and unleased
-    runs of any scenario produce the same record.
+    * **plans**, keyed by :meth:`key_for` — the scenario's full non-seed
+      configuration plus the ``trace``/``batched`` flags.  A plan holds
+      every lookup and check of the configuration (see the module
+      docstring), so the later seeds of a configuration go straight to
+      their run.  A configuration whose checks raise is never cached:
+      each of its cells raises again.
+    * **engines**, keyed by :meth:`shape_for` — the same key without
+      ``f`` and ``adversary``.  Those two reach an engine only through
+      the per-run :class:`~repro.sync.crash.CrashSchedule` or
+      ``AsyncCrash`` list that ``refill`` and ``reset`` take, so every
+      ``(f, adversary)`` of one shape shares one engine.  The first run
+      of a shape builds its engine as usual; every later run **refills**
+      or **resets** it (:meth:`repro.sync.engine.SynchronousEngine.refill`
+      / :meth:`~repro.sync.engine.SynchronousEngine.reset`,
+      :meth:`repro.asyncsim.runner.AsyncRunner.refill` /
+      :meth:`~repro.asyncsim.runner.AsyncRunner.reset`) instead of
+      rebuilding it.
+
+    Refill and reset are pinned byte-identical to fresh construction
+    (``tests/scenarios/test_engine_reuse.py``,
+    ``tests/scenarios/test_plan_cache.py``), so leased and unleased runs
+    of any scenario produce the same record.
 
     Leases are not thread-safe and not meant to cross process
-    boundaries; :class:`~repro.scenarios.sweep.SweepRunner` holds one per
-    worker chunk (and one for the whole serial pass).  The cache is a
-    small LRU (``MAX_ENTRIES``) so a sweep over many configurations
-    cannot grow it without bound.
+    boundaries; :class:`~repro.scenarios.sweep.SweepRunner` holds one for
+    the whole serial pass and every shard worker one of its own.
+    ``len(lease)`` counts cached engines.
     """
 
     #: Upper bound on cached engines; least-recently-used beyond this.
     MAX_ENTRIES = 32
+    #: Upper bound on cached plans; least-recently-used beyond this.
+    MAX_PLANS = 128
 
-    __slots__ = ("_engines",)
+    __slots__ = ("_engines", "_plans")
 
     def __init__(self) -> None:
         self._engines: dict[tuple, Any] = {}
+        self._plans: dict[tuple, _Plan] = {}
 
     def __len__(self) -> int:
         return len(self._engines)
 
     @staticmethod
     def key_for(scenario: Scenario, trace: bool, batched: bool | None) -> tuple:
-        """The cache key: the full non-seed configuration, cheaply hashable.
+        """The plan key: the full non-seed configuration, cheaply hashable.
 
         ``repr`` flattens the (JSON-typed, possibly nested) dict fields
         instead of ``to_json`` — an order of magnitude cheaper per cell,
         and exact: two scenarios with equal reprs of their sorted items
-        are the same configuration.
+        are the same configuration, while a tuple-valued param and its
+        list spelling (one canonical JSON) stay apart.
         """
         return (
             scenario.algorithm,
@@ -81,27 +117,48 @@ class EngineLease:
             scenario.f,
             scenario.adversary,
             scenario.workload,
-            repr(sorted(scenario.workload_params.items())),
-            repr(sorted(scenario.timing.items())),
-            repr(sorted(scenario.params.items())),
+            _items_repr(scenario.workload_params),
+            _items_repr(scenario.timing),
+            _items_repr(scenario.params),
             scenario.max_rounds,
             scenario.model,
             trace,
             batched,
         )
 
+    @staticmethod
+    def shape_for(scenario: Scenario, trace: bool, batched: bool | None) -> tuple:
+        """The engine key: :meth:`key_for` without ``f`` and ``adversary``."""
+        key = EngineLease.key_for(scenario, trace, batched)
+        return key[:3] + key[5:]
+
     def get(self, key: tuple) -> Any:
-        """The cached engine for ``key`` (refreshing LRU), or None."""
+        """The cached engine for shape ``key`` (refreshing LRU), or None."""
         engine = self._engines.pop(key, None)
         if engine is not None:
             self._engines[key] = engine  # re-insert: most recently used
         return engine
 
     def put(self, key: tuple, engine: Any) -> None:
-        """Cache ``engine`` under ``key``, evicting the oldest past the cap."""
+        """Cache ``engine`` under shape ``key``, evicting the oldest past the cap."""
         self._engines[key] = engine
         if len(self._engines) > self.MAX_ENTRIES:
             self._engines.pop(next(iter(self._engines)))
+
+    def plan(self, scenario: Scenario, trace: bool, batched: bool | None) -> "_Plan":
+        """The compiled plan of ``scenario``'s configuration, cached by key.
+
+        Compiles on a miss; a compile that raises caches nothing.
+        """
+        key = self.key_for(scenario, trace, batched)
+        plans = self._plans
+        plan = plans.pop(key, None)
+        if plan is None:
+            plan = _compile(scenario, trace, batched)
+            if len(plans) >= self.MAX_PLANS:
+                plans.pop(next(iter(plans)))
+        plans[key] = plan  # (re-)insert: most recently used
+        return plan
 
 
 def resolved_t(scenario: Scenario, algo: AlgorithmDef | None = None) -> int:
@@ -207,9 +264,75 @@ def delay_model_from(timing: dict[str, Any]):
     )
 
 
+class _Plan:
+    """One configuration compiled for :func:`execute`.
+
+    ``run(plan, scenario, proposals, rng, lease)`` runs one seed; the
+    other slots are what the backend's run reads.  ``schedule`` starts
+    as None and is set by the first run whose crash schedule drew
+    nothing from its ``adversary`` stream.
+    """
+
+    __slots__ = (
+        "algo", "n", "t", "build", "trace", "batched", "max_rounds",
+        "run", "shape", "check",
+        # round-based backends
+        "adversary", "engine_cls", "schedule",
+        # continuous-time backends
+        "timed", "detector", "delay_model", "until", "max_events", "ffd_spec",
+    )
+
+    def __init__(
+        self, algo: AlgorithmDef, n: int, t: int, build: Callable,
+        trace: bool, batched: bool | None, max_rounds: int | None,
+    ) -> None:
+        self.algo = algo
+        self.n = n
+        self.t = t
+        self.build = build
+        self.trace = trace
+        self.batched = batched
+        self.max_rounds = max_rounds
+        self.shape: tuple | None = None
+        self.schedule = None
 
 
-def _timed_crashes(scenario: Scenario, n: int, t: int, rng: RandomSource):
+def _compile(scenario: Scenario, trace: bool, batched: bool | None) -> _Plan:
+    """Resolve and check everything about ``scenario`` but its seed
+    (:func:`execute` has checked ``batched``)."""
+    algo = ALGORITHMS.get(scenario.algorithm)
+    _check_keys(
+        scenario.params, algo.param_keys, "parameter",
+        f"algorithm {scenario.algorithm!r}",
+    )
+    if scenario.model is not None and scenario.model != algo.backend:
+        raise ConfigurationError(
+            f"scenario pins model {scenario.model!r} but algorithm "
+            f"{scenario.algorithm!r} runs on the {algo.backend!r} backend"
+        )
+    n, t = scenario.n, resolved_t(scenario, algo)
+    if not 0 <= t < n:
+        raise ConfigurationError(f"t must satisfy 0 <= t < n, got t={t}, n={n}")
+    if scenario.f > t:
+        raise ConfigurationError(f"f={scenario.f} exceeds t={t}")
+    workload = WORKLOADS.get(scenario.workload)
+    _check_keys(
+        scenario.workload_params, workload.param_keys, "parameter",
+        f"workload {scenario.workload!r}",
+    )
+    plan = _Plan(algo, n, t, workload.build, trace, batched, scenario.max_rounds)
+    if algo.backend in ("extended", "classic"):
+        _compile_sync(plan, scenario)
+    elif algo.backend == "async":
+        _compile_async(plan, scenario)
+    elif algo.backend == "ffd":
+        _compile_ffd(plan, scenario)
+    else:  # pragma: no cover - BACKENDS is closed
+        raise ConfigurationError(f"unhandled backend {algo.backend!r}")
+    return plan
+
+
+def _timed_adversary(scenario: Scenario) -> Callable:
     adv = ADVERSARIES.get(scenario.adversary)
     if adv.make_timed is None:
         raise ConfigurationError(
@@ -217,7 +340,7 @@ def _timed_crashes(scenario: Scenario, n: int, t: int, rng: RandomSource):
             f"usable on continuous-time backends: "
             f"{[name for name, a in ADVERSARIES.items() if a.make_timed is not None]}"
         )
-    return adv.make_timed(n, t, scenario.f, rng)
+    return adv.make_timed
 
 
 def execute(
@@ -237,35 +360,20 @@ def execute(
     — the parity grids compare the two.  Any other value raises.  The
     ``ffd`` backend has no table and ignores it.
 
-    ``lease`` opts into engine reuse: runs whose non-seed configuration
-    matches a previous run through the same :class:`EngineLease` reset
-    that run's engine instead of constructing a new one.  Records are
-    identical either way; sweeps hold a lease per chunk.
+    ``lease`` opts into plan and engine reuse: a run whose configuration
+    a previous run through the same :class:`EngineLease` compiled skips
+    straight to its seed, and a run whose engine shape matches refills or
+    resets that engine instead of constructing a new one.  Records are
+    identical either way; sweeps hold a lease per pass or worker.
     """
     check_batched(batched)
-    algo = ALGORITHMS.get(scenario.algorithm)
-    _check_keys(
-        scenario.params, algo.param_keys, "parameter",
-        f"algorithm {scenario.algorithm!r}",
-    )
-    if scenario.model is not None and scenario.model != algo.backend:
-        raise ConfigurationError(
-            f"scenario pins model {scenario.model!r} but algorithm "
-            f"{scenario.algorithm!r} runs on the {algo.backend!r} backend"
-        )
-    n, t = scenario.n, resolved_t(scenario, algo)
-    if not 0 <= t < n:
-        raise ConfigurationError(f"t must satisfy 0 <= t < n, got t={t}, n={n}")
-    if scenario.f > t:
-        raise ConfigurationError(f"f={scenario.f} exceeds t={t}")
-
+    if lease is None:
+        plan = _compile(scenario, trace, batched)
+    else:
+        plan = lease.plan(scenario, trace, batched)
+    n = plan.n
     rng = RandomSource(scenario.seed)
-    workload = WORKLOADS.get(scenario.workload)
-    _check_keys(
-        scenario.workload_params, workload.param_keys, "parameter",
-        f"workload {scenario.workload!r}",
-    )
-    proposals = workload.build(n, rng.spawn("workload"), dict(scenario.workload_params))
+    proposals = plan.build(n, rng.spawn("workload"), dict(scenario.workload_params))
     if len(proposals) != n:
         raise ConfigurationError(
             f"workload {scenario.workload!r} produced {len(proposals)} proposals for n={n}"
@@ -279,14 +387,7 @@ def execute(
             f"workload {scenario.workload!r} produced an unhashable proposal "
             f"({exc}); consensus values must be hashable"
         ) from None
-
-    if algo.backend in ("extended", "classic"):
-        return _execute_sync(scenario, algo, n, t, proposals, rng, trace, batched, lease)
-    if algo.backend == "async":
-        return _execute_async(scenario, algo, n, t, proposals, rng, batched, lease)
-    if algo.backend == "ffd":
-        return _execute_ffd(scenario, algo, n, t, proposals, rng)
-    raise ConfigurationError(f"unhandled backend {algo.backend!r}")  # pragma: no cover
+    return plan.run(plan, scenario, proposals, rng, lease)
 
 
 # ---------------------------------------------------------------------------
@@ -294,21 +395,12 @@ def execute(
 # ---------------------------------------------------------------------------
 
 
-def _execute_sync(
-    scenario: Scenario,
-    algo: AlgorithmDef,
-    n: int,
-    t: int,
-    proposals: list[Any],
-    rng: RandomSource,
-    trace: bool,
-    batched: bool | None = None,
-    lease: EngineLease | None = None,
-) -> RunRecord:
+def _compile_sync(plan: _Plan, scenario: Scenario) -> None:
     from repro.sync.engine import ClassicSynchronousEngine
     from repro.sync.extended import ExtendedSynchronousEngine
     from repro.sync.spec import check_consensus
 
+    algo = plan.algo
     if scenario.timing:
         _check_timing_keys(scenario.timing, algo.backend)
     adversary_name = scenario.adversary
@@ -319,15 +411,36 @@ def _execute_sync(
         raise ConfigurationError(
             f"adversary {adversary_name!r} has no synchronous crash plan"
         )
-    schedule = adv.make_sync(scenario.f).schedule(n, t, rng.spawn("adversary"))
-    engine_cls = (
+    plan.adversary = adv.make_sync(scenario.f)
+    plan.engine_cls = (
         ExtendedSynchronousEngine if algo.backend == "extended" else ClassicSynchronousEngine
     )
-    engine = None
-    key: tuple | None = None
-    if lease is not None:
-        key = EngineLease.key_for(scenario, trace, batched)
-        engine = lease.get(key)
+    spec = algo.spec
+    plan.check = (
+        (lambda result: tuple(spec(result))) if spec is not None
+        else (lambda result: check_consensus(result).violations)
+    )
+    plan.shape = EngineLease.shape_for(scenario, plan.trace, plan.batched)
+    plan.run = _run_sync
+
+
+def _run_sync(
+    plan: _Plan,
+    scenario: Scenario,
+    proposals: list[Any],
+    rng: RandomSource,
+    lease: EngineLease | None,
+) -> RunRecord:
+    n, t, trace = plan.n, plan.t, plan.trace
+    schedule = plan.schedule
+    if schedule is None:
+        stream = rng.spawn("adversary")
+        schedule = plan.adversary.schedule(n, t, stream)
+        if not stream.drawn:
+            # Built without a draw: the same schedule for every seed.
+            # The engine keeps its crash map for the same object, too.
+            plan.schedule = schedule
+    engine = lease.get(plan.shape) if lease is not None else None
     # A leased engine with a refillable vector table takes the run with
     # no process construction at all: the table columns are rewritten in
     # place from the proposals.  Only when that is declined does the
@@ -335,40 +448,35 @@ def _execute_sync(
     if engine is None or not engine.refill(
         proposals, schedule, rng=rng.spawn("engine"), trace=trace
     ):
-        procs = algo.factory(n, t, proposals, dict(scenario.params))
+        procs = plan.algo.factory(n, t, proposals, dict(scenario.params))
         if engine is None:
-            engine = engine_cls(
+            engine = plan.engine_cls(
                 procs, schedule, t=t, rng=rng.spawn("engine"), trace=trace,
-                batched=batched,
+                batched=plan.batched,
             )
             if lease is not None:
-                lease.put(key, engine)
+                lease.put(plan.shape, engine)
         else:
             engine.reset(
-                procs, schedule, rng=rng.spawn("engine"), trace=trace, batched=batched
+                procs, schedule, rng=rng.spawn("engine"), trace=trace,
+                batched=plan.batched,
             )
-    result = engine.run(scenario.max_rounds)
-
-    if algo.spec is not None:
-        violations = tuple(algo.spec(result))
-    else:
-        violations = check_consensus(result).violations
+    result = engine.run(plan.max_rounds)
+    violations = plan.check(result)
     # Straight off the engine's ledgers (identical to the per-outcome
     # derivation but with C-level dict copies instead of an n-wide
     # attribute-reading loop).
-    decisions = engine.decisions
     decision_rounds = engine.decision_rounds
     crashed = sorted(engine.crashed_rounds)
-    last_decision_round = max(decision_rounds.values(), default=0)
     return RunRecord(
         scenario=scenario,
-        backend=algo.backend,
-        decisions=decisions,
+        backend=plan.algo.backend,
+        decisions=engine.decisions,
         decision_rounds=decision_rounds,
         crashed=crashed,
         f_actual=len(crashed),
         rounds_executed=result.rounds_executed,
-        last_decision_round=last_decision_round,
+        last_decision_round=max(decision_rounds.values(), default=0),
         messages_sent=result.stats.messages_sent,
         bits_sent=result.stats.bits_sent,
         spec_ok=not violations,
@@ -382,67 +490,65 @@ def _execute_sync(
 # ---------------------------------------------------------------------------
 
 
-def _execute_async(
-    scenario: Scenario,
-    algo: AlgorithmDef,
-    n: int,
-    t: int,
-    proposals: list[Any],
-    rng: RandomSource,
-    batched: bool | None = None,
-    lease: EngineLease | None = None,
-) -> RunRecord:
+def _compile_async(plan: _Plan, scenario: Scenario) -> None:
     from repro.asyncsim.failure_detector import DetectorSpec
-    from repro.asyncsim.runner import AsyncCrash, AsyncRunner
 
     timing = dict(scenario.timing)
     _check_timing_keys(timing, "async")
+    plan.timed = _timed_adversary(scenario)
+    plan.detector = DetectorSpec(
+        stabilization_time=_timing_number(timing, "stabilization_time", 0.0, "async"),
+        detection_latency=_timing_number(timing, "detection_latency", 1.0, "async"),
+        churn_rate=_timing_number(timing, "churn_rate", 0.0, "async"),
+        false_suspicion_duration=_timing_number(
+            timing, "false_suspicion_duration", 1.0, "async"
+        ),
+    )
+    plan.delay_model = delay_model_from(timing)
+    plan.until = _timing_number(timing, "until", 10_000.0, "async")
+    plan.max_events = _timing_number(timing, "max_events", 2_000_000, "async", int)
+    # The runner never traces, so both flags share one engine.
+    plan.shape = EngineLease.shape_for(scenario, False, plan.batched)
+    plan.run = _run_async
+
+
+def _run_async(
+    plan: _Plan,
+    scenario: Scenario,
+    proposals: list[Any],
+    rng: RandomSource,
+    lease: EngineLease | None,
+) -> RunRecord:
+    from repro.asyncsim.runner import AsyncCrash, AsyncRunner
+
+    n, t = plan.n, plan.t
     crashes = [
         AsyncCrash(pid, time)
-        for pid, time in _timed_crashes(scenario, n, t, rng.spawn("adversary"))
+        for pid, time in plan.timed(n, t, scenario.f, rng.spawn("adversary"))
     ]
-    runner = None
-    key: tuple | None = None
-    if lease is not None:
-        key = EngineLease.key_for(scenario, False, batched)
-        runner = lease.get(key)
+    runner = lease.get(plan.shape) if lease is not None else None
     # Mirror of the synchronous path: a leased runner with a refillable
     # columnar table reruns the configuration without constructing a
     # single process object.
     if runner is None or not runner.refill(
         proposals, crashes=crashes, rng=rng.spawn("engine")
     ):
-        procs = algo.factory(n, t, proposals, dict(scenario.params))
+        procs = plan.algo.factory(n, t, proposals, dict(scenario.params))
         if runner is None:
-            detector = DetectorSpec(
-                stabilization_time=_timing_number(
-                    timing, "stabilization_time", 0.0, "async"
-                ),
-                detection_latency=_timing_number(
-                    timing, "detection_latency", 1.0, "async"
-                ),
-                churn_rate=_timing_number(timing, "churn_rate", 0.0, "async"),
-                false_suspicion_duration=_timing_number(
-                    timing, "false_suspicion_duration", 1.0, "async"
-                ),
-            )
             runner = AsyncRunner(
                 procs,
                 t=t,
                 crashes=crashes,
-                delay_model=delay_model_from(timing),
-                detector_spec=detector,
+                delay_model=plan.delay_model,
+                detector_spec=plan.detector,
                 rng=rng.spawn("engine"),
-                batched=batched,
+                batched=plan.batched,
             )
             if lease is not None:
-                lease.put(key, runner)
+                lease.put(plan.shape, runner)
         else:
             runner.reset(procs, crashes=crashes, rng=rng.spawn("engine"))
-    result = runner.run(
-        until=_timing_number(timing, "until", 10_000.0, "async"),
-        max_events=_timing_number(timing, "max_events", 2_000_000, "async", int),
-    )
+    result = runner.run(until=plan.until, max_events=plan.max_events)
     violations = tuple(result.check_consensus())
     last_round = max(result.decision_rounds.values(), default=0)
     return RunRecord(
@@ -468,30 +574,36 @@ def _execute_async(
 # ---------------------------------------------------------------------------
 
 
-def _execute_ffd(
-    scenario: Scenario,
-    algo: AlgorithmDef,
-    n: int,
-    t: int,
-    proposals: list[Any],
-    rng: RandomSource,
-) -> RunRecord:
-    from repro.ffd.consensus import run_ffd_consensus
-    from repro.ffd.timed import TimedCrash, TimedSpec
+def _compile_ffd(plan: _Plan, scenario: Scenario) -> None:
+    from repro.ffd.timed import TimedSpec
 
     timing = dict(scenario.timing)
     _check_timing_keys(timing, "ffd")
-    spec = TimedSpec(
-        n=n,
+    plan.ffd_spec = TimedSpec(
+        n=plan.n,
         D=_timing_number(timing, "D", 100.0, "ffd"),
         d=_timing_number(timing, "d", 1.0, "ffd"),
         delta_min=_timing_number(timing, "delta_min", 0.3, "ffd"),
     )
+    plan.timed = _timed_adversary(scenario)
+    plan.run = _run_ffd
+
+
+def _run_ffd(
+    plan: _Plan,
+    scenario: Scenario,
+    proposals: list[Any],
+    rng: RandomSource,
+    lease: EngineLease | None,
+) -> RunRecord:
+    from repro.ffd.consensus import run_ffd_consensus
+    from repro.ffd.timed import TimedCrash
+
     crashes = [
         TimedCrash(pid, time)
-        for pid, time in _timed_crashes(scenario, n, t, rng.spawn("adversary"))
+        for pid, time in plan.timed(plan.n, plan.t, scenario.f, rng.spawn("adversary"))
     ]
-    result = run_ffd_consensus(spec, proposals, crashes, rng=rng.spawn("engine"))
+    result = run_ffd_consensus(plan.ffd_spec, proposals, crashes, rng=rng.spawn("engine"))
     violations = tuple(result.check_consensus())
     stats = result.stats
     return RunRecord(

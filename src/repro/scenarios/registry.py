@@ -138,7 +138,10 @@ class AdversaryDef:
     the round-based engines; ``make_timed(n, t, f, rng)`` yields
     ``(pid, time)`` crash instants for the continuous-time backends.  An
     adversary may support either or both; using one on an unsupported
-    backend is a configuration error.
+    backend is a configuration error.  A synchronous schedule may depend
+    on the seed only through draws from the ``rng`` it is handed:
+    :func:`~repro.scenarios.execute.execute` reuses a schedule built
+    without a draw for every seed of its configuration.
     """
 
     name: str

@@ -46,6 +46,7 @@ __all__ = [
     "identity_key",
     "scenario_key",
     "scenario_delta",
+    "scenario_deltas",
     "apply_scenario_delta",
     "SCENARIO_FIELDS",
 ]
@@ -81,7 +82,8 @@ class Scenario:
         Root seed; every stochastic component draws from a labelled
         child stream, so a run is a pure function of the scenario.
     max_rounds:
-        Round budget override for the synchronous engines.
+        Round budget override for the synchronous engines (``>= 1``;
+        the continuous-time backends accept and ignore it).
     params:
         Algorithm-specific extras (e.g. ``{"k": 2}`` for ``truncated-crw``).
     model:
@@ -139,6 +141,10 @@ class Scenario:
             )
         if self.t is not None and self.f > self.t:
             raise ConfigurationError(f"f={self.f} exceeds t={self.t}")
+        # The engines' own budget check, at the boundary.  The async and
+        # ffd backends ignore a valid budget: mixed grids share one base.
+        if self.max_rounds is not None and self.max_rounds < 1:
+            raise ConfigurationError(f"max_rounds must be >= 1, got {self.max_rounds}")
 
     # -- derived -----------------------------------------------------------
 
@@ -420,6 +426,51 @@ def scenario_delta(base: Scenario | None, cell: Scenario) -> dict[str, Any]:
         if name in delta:
             delta[name] = dict(delta[name])
     return delta
+
+
+def _same_config(a: Scenario, b: Scenario) -> bool:
+    """Whether ``a`` and ``b`` agree type-exactly on every field but the seed.
+
+    Grid cells of one configuration mostly share their scalar field
+    objects, and their dict fields are almost always empty; both cases
+    skip the recursive comparison.  A Scenario's fields are ints, strs,
+    ``None`` or plain dicts, so two falsy values of one type are equal
+    (no ``-0.0`` at the top level).
+    """
+    da, db = a.__dict__, b.__dict__
+    for name in _CONFIG_FIELDS:
+        x, y = da[name], db[name]
+        if x is y or (not x and not y and type(x) is type(y)):
+            continue
+        if not _same_wire_value(x, y):
+            return False
+    return True
+
+
+def scenario_deltas(base: Scenario, cells: Sequence[Scenario]) -> list[dict[str, Any]]:
+    """``[scenario_delta(base, cell) for cell in cells]``, per configuration.
+
+    A grid ships its cells in runs of seeds, so the delta of a run's
+    non-seed fields is computed once, when a cell's configuration differs
+    type-exactly from the one before it, and each cell adds only its seed
+    (when that differs from the base's).  The deltas of one run share
+    their dict-valued fields, which are copies, never a cell's own.
+    """
+    base_seed = base.seed
+    deltas: list[dict[str, Any]] = []
+    template: dict[str, Any] = {}
+    last: Scenario | None = None
+    for cell in cells:
+        if last is None or not _same_config(last, cell):
+            template = scenario_delta(base, cell)
+            template.pop("seed", None)
+            last = cell
+        seed = cell.seed
+        delta = dict(template)
+        if not _same_wire_value(seed, base_seed):
+            delta["seed"] = seed
+        deltas.append(delta)
+    return deltas
 
 
 def apply_scenario_delta(

@@ -620,6 +620,8 @@ class SynchronousEngine:
         if not 0 <= self.t < n:
             raise ConfigurationError(f"t must satisfy 0 <= t < n, got t={self.t}, n={n}")
         self._pids: frozenset[int] = frozenset(range(1, n + 1))
+        #: The schedule ``_crashes_by_round`` was last validated and mapped from.
+        self._mapped_schedule: CrashSchedule | None = None
         self._install(processes, schedule, rng=rng, trace=trace, batched=batched)
 
     def _install(
@@ -686,27 +688,37 @@ class SynchronousEngine:
 
         Shared by construction, :meth:`reset` (fresh process table), and
         :meth:`refill` (retained process table, refilled columns).
+
+        Handed the schedule object it mapped last, the engine keeps that
+        validated crash-by-round map: ``n``, ``t`` and the model never
+        change for one engine, and schedules are treated as immutable
+        (the scenario layer passes one object for every seed of a
+        configuration whose schedule draws nothing).
         """
-        self.schedule = schedule if schedule is not None else CrashSchedule.none()
-        self.schedule.validate(self.n, self.t)
-        if not self.allow_control:
-            for ev in self.schedule.events.values():
-                if ev.point is CrashPoint.DURING_CONTROL:
-                    raise ConfigurationError(
-                        f"p{ev.pid}: DURING_CONTROL crash point is not part of "
-                        f"the classic model"
-                    )
+        if schedule is None:
+            schedule = CrashSchedule.none()
+        self.schedule = schedule
+        if schedule is not self._mapped_schedule:
+            schedule.validate(self.n, self.t)
+            events = schedule.events.values()
+            if not self.allow_control:
+                for ev in events:
+                    if ev.point is CrashPoint.DURING_CONTROL:
+                        raise ConfigurationError(
+                            f"p{ev.pid}: DURING_CONTROL crash point is not part of "
+                            f"the classic model"
+                        )
+            by_round: dict[int, dict[int, CrashEvent]] = {}
+            for ev in sorted(events, key=lambda e: (e.round_no, e.pid)):
+                by_round.setdefault(ev.round_no, {})[ev.pid] = ev
+            self._crashes_by_round = by_round
+            self._mapped_schedule = schedule
         self.rng = rng
         self.stats = MessageStats()
         self.trace = Trace(enabled=trace)
         pids = range(1, self.n + 1)
         self._active: set[int] = set(pids)
         self._active_order: list[int] = list(pids)  # kept sorted across steps
-        self._crashes_by_round: dict[int, dict[int, CrashEvent]] = {}
-        for ev in sorted(
-            self.schedule.events.values(), key=lambda e: (e.round_no, e.pid)
-        ):
-            self._crashes_by_round.setdefault(ev.round_no, {})[ev.pid] = ev
         self._crashed_round: dict[int, int] = {}
         self._decided_round: dict[int, int] = {}
         self._decisions: dict[int, Any] = {}

@@ -112,6 +112,21 @@ class RandomSource:
         return self._path
 
     @property
+    def drawn(self) -> bool:
+        """Whether this stream was drawn from (or its generator handed out).
+
+        A source seeds itself on its first draw, so an unset generator
+        slot means nothing read the stream: whatever was built from it
+        does not depend on the seed through it.  The scenario layer
+        reuses a crash schedule across seeds on exactly that condition.
+        """
+        try:
+            RandomSource._rng.__get__(self)
+        except AttributeError:
+            return False
+        return True
+
+    @property
     def raw(self) -> random.Random:
         """The underlying stdlib generator, for C-speed bulk draws.
 

@@ -162,7 +162,7 @@ class TestRefillParity:
         base = Scenario(algorithm="crw", n=8, f=3, adversary="coordinator-killer")
         lease = EngineLease()
         execute(base, lease=lease)
-        key = EngineLease.key_for(base, False, None)
+        key = EngineLease.shape_for(base, False, None)
         engine = lease.get(key)
         proc_ids = {pid: id(p) for pid, p in engine.procs.items()}
         for seed in range(1, 15):
@@ -180,7 +180,7 @@ class TestRefillParity:
         )
         lease = EngineLease()
         execute(base, lease=lease)
-        key = EngineLease.key_for(base, False, None)
+        key = EngineLease.shape_for(base, False, None)
         runner = lease.get(key)
         proc_ids = {pid: id(p) for pid, p in runner.procs.items()}
         for seed in range(1, 12):
@@ -207,7 +207,7 @@ class TestRefillParity:
         base = Scenario(algorithm="crw", n=6, f=1, adversary="coordinator-killer")
         lease = EngineLease()
         execute(base, lease=lease)
-        engine = lease.get(EngineLease.key_for(base, False, None))
+        engine = lease.get(EngineLease.shape_for(base, False, None))
         with pytest.raises(ConfigurationError, match="proposals"):
             engine.refill([1, 2, 3])
 

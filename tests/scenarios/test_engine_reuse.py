@@ -1,7 +1,8 @@
 """Engine leasing: reused (reset) engines are indistinguishable from fresh.
 
-``execute(scenario, lease=lease)`` caches one engine per non-seed
-configuration and resets it for every later run of that configuration.
+``execute(scenario, lease=lease)`` caches one engine per shape (the
+non-seed configuration without ``f`` and ``adversary``) and refills or
+resets it for every later run of that shape.
 These tests pin the contract the sweep layer depends on: a leased run's
 record is byte-identical to an unleased run's, across backends, seeds,
 and interleaved configurations — and ``reset()`` on the engines

@@ -32,6 +32,36 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             Scenario(**kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"algorithm": "mr99", "n": 4, "max_rounds": -3},
+            {"algorithm": "ffd", "n": 4, "max_rounds": 0},
+            {"algorithm": "crw", "n": 4, "max_rounds": 0},
+        ],
+    )
+    def test_rejects_round_budget_below_one(self, kwargs):
+        # The engine's own message, raised before any workload, crash
+        # plan or engine is built -- on every backend.
+        with pytest.raises(ConfigurationError, match="max_rounds must be >= 1, got"):
+            Scenario(**kwargs)
+        with pytest.raises(ConfigurationError, match="max_rounds must be >= 1"):
+            Scenario.from_dict({**kwargs})
+
+    def test_rejects_round_budget_below_one_through_with(self):
+        with pytest.raises(ConfigurationError, match="max_rounds must be >= 1"):
+            Scenario(algorithm="crw", n=4).with_(max_rounds=0)
+
+    def test_continuous_time_backends_ignore_a_valid_budget(self):
+        from repro.scenarios import execute
+
+        for algorithm in ("mr99", "ffd"):
+            base = Scenario(algorithm=algorithm, n=4, f=1, adversary="staggered")
+            budgeted = base.with_(max_rounds=1)
+            a, b = execute(base).to_dict(), execute(budgeted).to_dict()
+            a.pop("scenario"), b.pop("scenario")
+            assert a == b, algorithm
+
     def test_dict_fields_snapshotted(self):
         params = {"k": 2}
         s = Scenario(algorithm="truncated-crw", n=8, params=params)

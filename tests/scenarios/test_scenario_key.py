@@ -73,7 +73,7 @@ def scenarios(draw) -> Scenario:
         workload_params=draw(_DICTS),
         timing=draw(_DICTS),
         seed=draw(_SEEDS),
-        max_rounds=draw(st.none() | st.integers(-5, 10**20)),
+        max_rounds=draw(st.none() | st.integers(1, 10**20)),
         params=draw(_DICTS),
         model=draw(st.none() | _NAMES),
     )
