@@ -2,8 +2,14 @@
 
 from __future__ import annotations
 
+from repro.analysis.formulas import (
+    classic_time,
+    crossover_d,
+    crw_round_bound,
+    early_stopping_round_bound,
+    extended_time,
+)
 from repro.harness.experiments import e3_timing
-from repro.timing.model import RoundCost, timing_series
 
 
 def test_e3_report(benchmark, report):
@@ -12,40 +18,18 @@ def test_e3_report(benchmark, report):
     assert result.findings["empirical_crossover_matches_formula"] is True
 
 
-def test_e3_kernel_series(benchmark):
-    series = benchmark(
-        timing_series,
-        100.0,
-        (0, 1, 2, 4, 8),
-        tuple(k / 100 for k in range(0, 160, 5)),
-    )
-    assert len(series) == 5 * 32
+def test_e3_kernel_formulas(benchmark):
+    """Which side of the crossover each f in 0..63 lands on at d = 2."""
 
-
-def test_e3_kernel_roundcost(benchmark):
     def kernel():
-        cost = RoundCost(D=100.0, d=2.0)
-        return [cost.extended_wins(f) for f in range(64)]
+        D, d = 100.0, 2.0
+        return [
+            extended_time(crw_round_bound(f), D, d)
+            < classic_time(early_stopping_round_bound(f, f + 1), D)
+            for f in range(64)
+        ]
 
     wins = benchmark(kernel)
-    # d=2: extended wins while f+1 < D/d = 50.
+    # d=2: extended wins while f+1 < D/d = 50, i.e. while d < D/(f+1).
     assert wins[48] is True and wins[49] is False
-
-
-def test_e3_kernel_vectorized_grid(benchmark):
-    """The fine-resolution NumPy crossover map (1000 x 64 cells)."""
-    import numpy as np
-
-    from repro.timing.grid import crossover_curve, timing_grid
-
-    def kernel():
-        return timing_grid(100.0, np.linspace(0.0, 2.0, 1000), list(range(64)))
-
-    grid = benchmark(kernel)
-    assert grid["crw"].shape == (64, 1000)
-    # Flip positions match the analytic crossover curve.
-    curve = crossover_curve(100.0, list(range(64)))
-    fracs = np.linspace(0.0, 2.0, 1000)
-    for f in (0, 1, 7, 63):
-        row = grid["extended_wins"][f]
-        assert fracs[row][-1] < curve[f] <= fracs[~row][0] + 1e-9 if (~row).any() else True
+    assert all(win == (2.0 < crossover_d(100.0, f)) for f, win in enumerate(wins))

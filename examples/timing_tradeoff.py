@@ -13,8 +13,15 @@ against the *measured* decision times of the timed simulator.
     python examples/timing_tradeoff.py
 """
 
+from repro.analysis.formulas import (
+    classic_time,
+    crossover_d,
+    crw_round_bound,
+    early_stopping_round_bound,
+    extended_time,
+    ffd_time_bound,
+)
 from repro.ffd import TimedCrash, TimedSpec, run_ffd_consensus
-from repro.timing import RoundCost, crossover_d
 from repro.util import RandomSource, Table
 
 
@@ -25,8 +32,9 @@ def main() -> None:
     table = Table(["f", "d/D", "extended (f+1)(D+d)", "classic ES (f+2)D", "winner"])
     for f in (0, 1, 2, 4):
         for frac in (0.01, 0.1, 0.5, 1.0):
-            cost = RoundCost(D=D, d=frac * D)
-            crw, es = cost.crw_time(f), cost.early_stopping_time(f)
+            crw = extended_time(crw_round_bound(f), D, frac * D)
+            # any t >= f + 1 keeps min(f+2, t+1) at f + 2
+            es = classic_time(early_stopping_round_bound(f, f + 1), D)
             table.add_row(f, frac, crw, es, "extended" if crw < es else "classic")
     print(table.to_ascii())
 
@@ -38,14 +46,18 @@ def main() -> None:
     n = 6
     spec = TimedSpec(n=n, D=D, d=1.0)
     table = Table(["f", "measured decision time", "model D+(f+1)d", "extended (f+1)(D+d)"])
-    cost = RoundCost(D=D, d=1.0)
     for f in (0, 1, 2, 3):
         crashes = [TimedCrash(pid, 0.0) for pid in range(1, f + 1)]
         result = run_ffd_consensus(
             spec, [100 + pid for pid in range(1, n + 1)], crashes, rng=RandomSource(f)
         )
         assert result.check_consensus() == []
-        table.add_row(f, result.max_decision_time, cost.ffd_time(f, 1.0), cost.crw_time(f))
+        table.add_row(
+            f,
+            result.max_decision_time,
+            ffd_time_bound(f, D, 1.0),
+            extended_time(crw_round_bound(f), D, 1.0),
+        )
     print(table.to_ascii())
     print(
         "\nBoth enrichments beat the classic bound; the fast detector pays D once\n"

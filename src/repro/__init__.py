@@ -25,7 +25,12 @@ the scenario-layer extension guide.
 """
 
 from repro._version import __version__
-from repro.analysis import decision_skew, skew_profile, verify_pipelining_invariant
+from repro.analysis import (
+    crossover_d,
+    decision_skew,
+    skew_profile,
+    verify_pipelining_invariant,
+)
 from repro.asyncsim import (
     AsyncCrash,
     AsyncRunner,
@@ -56,7 +61,6 @@ from repro.scenarios import (
 )
 from repro.simulation import run_classic_on_extended, run_extended_on_classic
 from repro.snapshot import TransferSystem
-from repro.timing import RoundCost, crossover_d, timing_series
 from repro.core import (
     CRWConsensus,
     EagerCRW,
@@ -93,6 +97,7 @@ from repro.sync import (
 
 __all__ = [
     "__version__",
+    "crossover_d",
     "decision_skew",
     "skew_profile",
     "verify_pipelining_invariant",
@@ -124,9 +129,6 @@ __all__ = [
     "run_classic_on_extended",
     "run_extended_on_classic",
     "TransferSystem",
-    "RoundCost",
-    "crossover_d",
-    "timing_series",
     "EarlyStoppingConsensus",
     "FloodSetConsensus",
     "CRWConsensus",

@@ -3,7 +3,10 @@
 The experiment harness and the tests check *measured == formula* (or
 ``<= bound``); keeping the formulas in a single module makes the mapping
 from the paper's statements to code reviewable at a glance, and the
-formula tests double as documentation of each derivation.
+formula tests double as documentation of each derivation.  The
+registry's ``round_bound``s, the E1–E3 and E6 tables and
+``examples/timing_tradeoff.py`` call these functions rather than
+restating them.
 
 All functions validate their inputs and raise
 :class:`~repro.errors.ConfigurationError` on nonsense (negative ``f``,

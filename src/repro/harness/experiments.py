@@ -7,9 +7,13 @@ table(s) the claim predicts plus machine-checkable findings.  The
 Markdown section.
 
 Runs are driven through the unified scenario API
-(:func:`repro.scenarios.execute` on a :class:`~repro.scenarios.Scenario`;
-E1 aggregates seeds with :func:`~repro.scenarios.summarize_records`).
-See ``DESIGN.md`` §4 for the experiment index.
+(:func:`repro.scenarios.execute` on a :class:`~repro.scenarios.Scenario`);
+E1 and E5 run their grids in one serial
+:class:`~repro.scenarios.SweepRunner` pass and aggregate each
+configuration's seeds with :func:`~repro.scenarios.summarize_records`.
+Every bound and completion time comes from
+:mod:`repro.analysis.formulas`.  See ``DESIGN.md`` §4 for the experiment
+index.
 """
 
 from __future__ import annotations
@@ -18,12 +22,13 @@ import time
 from dataclasses import dataclass, field
 from typing import Any
 
+from repro.analysis import formulas
 from repro.core.crw import CRWConsensus
 from repro.core.variants import IncreasingCommitCRW, TruncatedCRW
 from repro.scenarios.execute import execute
 from repro.scenarios.registry import ALGORITHMS
 from repro.scenarios.scenario import Scenario
-from repro.scenarios.sweep import CellSummary, summarize_records
+from repro.scenarios.sweep import CellSummary, SweepRunner, summarize_records
 from repro.lowerbound.certificates import (
     certify_f_plus_one,
     certify_no_run_exceeds,
@@ -34,8 +39,6 @@ from repro.lowerbound.valency import find_bivalent_initial
 from repro.rsm.log import ReplicatedLog
 from repro.rsm.machine import Command, KVStore
 from repro.simulation.extended_on_classic import run_extended_on_classic
-from repro.sync.crash import CrashSchedule
-from repro.timing.model import RoundCost, crossover_d, timing_series
 from repro.util.rng import RandomSource
 from repro.util.tables import Table
 from repro.workloads.crashes import make_adversary
@@ -80,15 +83,17 @@ class ExperimentResult:
 # ---------------------------------------------------------------------------
 
 
-def _seeds_summary(
-    algorithm: str, n: int, t: int, f: int, adversary: str, seeds: int
-) -> CellSummary:
-    """One (algorithm, n, t, f, adversary) cell aggregated over ``seeds``."""
-    cell = Scenario(algorithm=algorithm, n=n, t=t, f=f, adversary=adversary)
-    (row,) = summarize_records(
-        execute(cell.with_(seed=seed)) for seed in range(seeds)
-    )
-    return row
+def _summaries(configs: list[Scenario], seeds: int) -> list[CellSummary]:
+    """Seeds ``0..seeds-1`` of every configuration, run in one serial
+    :class:`SweepRunner` pass; one :class:`CellSummary` per configuration,
+    in order."""
+    records = SweepRunner(
+        [config.with_(seed=seed) for config in configs for seed in range(seeds)]
+    ).run()
+    return [
+        summarize_records(records[i:i + seeds])[0]
+        for i in range(0, len(records), seeds)
+    ]
 
 
 def e1_rounds(
@@ -98,49 +103,54 @@ def e1_rounds(
 ) -> ExperimentResult:
     """CRW decides in <= f+1 rounds (1 round if p1 survives); classic
     baselines pay t+1 / min(f+2, t+1)."""
+    cells = [
+        Scenario(algorithm=algorithm, n=n, t=n - 1, f=f, adversary=adversary)
+        for n in n_values
+        for f in sorted({0, 1, (n - 1) // 2, n - 1})
+        for algorithm in ("crw", "early-stopping", "floodset")
+    ]
+    # The benign pattern: f crashes that never touch a coordinator.
+    benign_cells = [
+        Scenario(algorithm="crw", n=n, t=n - 1, f=f, adversary="staggered")
+        for n in n_values
+        for f in (1, 2, 3)
+    ]
+    summaries = _summaries(cells + benign_cells, seeds)
+
     table = Table(
         ["algorithm", "n", "t", "f", "mean last round", "max last round", "bound", "spec"],
         title=f"E1: decision rounds under the {adversary} adversary",
     )
     all_ok = True
     tight = True
-    for n in n_values:
-        t = n - 1
-        for f in sorted({0, 1, t // 2, t}):
-            for algorithm in ("crw", "early-stopping", "floodset"):
-                row = _seeds_summary(algorithm, n, t, f, adversary, seeds)
-                bound = ALGORITHMS.get(algorithm).round_bound(f, t)
-                all_ok = all_ok and row.spec_ok
-                if algorithm == "crw":
-                    tight = tight and row.max_last_round == bound
-                table.add_row(
-                    algorithm,
-                    n,
-                    t,
-                    f,
-                    row.mean_last_round,
-                    row.max_last_round,
-                    bound,
-                    "ok" if row.spec_ok else "VIOLATED",
-                )
-    # The benign pattern: f crashes that never touch a coordinator.
+    for row in summaries[:len(cells)]:
+        bound = ALGORITHMS.get(row.algorithm).round_bound(row.f, row.t)
+        all_ok = all_ok and row.spec_ok
+        if row.algorithm == "crw":
+            tight = tight and row.max_last_round == bound
+        table.add_row(
+            row.algorithm,
+            row.n,
+            row.t,
+            row.f,
+            row.mean_last_round,
+            row.max_last_round,
+            bound,
+            "ok" if row.spec_ok else "VIOLATED",
+        )
     benign = Table(
         ["n", "f", "crw max last round"],
         title="E1b: crashes that miss the coordinator cost nothing (staggered)",
     )
     one_round = True
-    for n in n_values:
-        for f in (1, 2, 3):
-            row = _seeds_summary("crw", n, n - 1, f, "staggered", seeds)
-            one_round = one_round and row.max_last_round == 1
-            benign.add_row(n, f, row.max_last_round)
+    for row in summaries[len(cells):]:
+        one_round = one_round and row.max_last_round == 1
+        benign.add_row(row.n, row.f, row.max_last_round)
     # Decision skew: Figure 1 is early-deciding, not simultaneous — the
     # commit-split adversary spreads decisions over up to f+1 rounds while
     # the silent cascade keeps them simultaneous (cf. the paper's [8]).
     from repro.analysis.simultaneity import skew_profile
-    from repro.core.crw import CRWConsensus as _CRW
-    from repro.sync.adversary import CommitSplitter as _CS
-    from repro.sync.adversary import CoordinatorKiller as _CK
+    from repro.sync.adversary import CommitSplitter, CoordinatorKiller
 
     skew = Table(
         ["adversary", "n", "mean skew", "max skew", "skew <= f everywhere"],
@@ -148,11 +158,11 @@ def e1_rounds(
     )
     skew_bounded = True
     for name, adversary in (
-        ("coordinator-killer", _CK(2)),
-        ("commit-splitter", _CS(2, prefix_len=1)),
+        ("coordinator-killer", CoordinatorKiller(2)),
+        ("commit-splitter", CommitSplitter(2, prefix_len=1)),
     ):
         profile = skew_profile(
-            lambda: [_CRW(pid, 8, 100 + pid) for pid in range(1, 9)],
+            lambda: [CRWConsensus(pid, 8, 100 + pid) for pid in range(1, 9)],
             adversary,
             n=8,
             t=7,
@@ -183,17 +193,6 @@ def e1_rounds(
 # ---------------------------------------------------------------------------
 
 
-def _e2_best_bounds(n: int, bits: int) -> tuple[int, int]:
-    messages = 2 * (n - 1)
-    total_bits = (n - 1) * (bits + 1)
-    return messages, total_bits
-
-
-def _e2_worst_bounds(n: int, t: int, bits: int) -> tuple[int, int]:
-    pair_sum = sum(n - r for r in range(1, t + 2))
-    return 2 * pair_sum, pair_sum * (bits + 1)
-
-
 def e2_bits(
     n_values: tuple[int, ...] = (4, 8, 16, 32),
     bit_widths: tuple[int, ...] = (8, 64, 1024),
@@ -212,7 +211,8 @@ def e2_bits(
                              workload_params={"bits": bits})
             # Best case: failure-free, single round.
             record = execute(sized)
-            m_bound, b_bound = _e2_best_bounds(n, bits)
+            m_bound = formulas.crw_best_messages(n)
+            b_bound = formulas.crw_best_bits(n, bits)
             best_exact = best_exact and (
                 record.messages_sent == m_bound and record.bits_sent == b_bound
             )
@@ -225,7 +225,8 @@ def e2_bits(
             # Worst case: max-traffic cascade with f = t.
             t = n - 1
             record = execute(sized.with_(f=t, adversary="max-traffic"))
-            m_bound, b_bound = _e2_worst_bounds(n, t, bits)
+            m_bound = formulas.crw_worst_messages_bound(n, t)
+            b_bound = formulas.crw_worst_bits_bound(n, t, bits)
             worst_within = worst_within and (
                 record.messages_sent <= m_bound and record.bits_sent <= b_bound
             )
@@ -253,20 +254,25 @@ def e2_bits(
 # ---------------------------------------------------------------------------
 
 
+def _e3_times(D: float, d: float, f: int) -> tuple[float, float]:
+    """E3's row view: CRW's ``(f+1)(D+d)`` and early stopping's ``(f+2)D``
+    (any ``t >= f + 1`` keeps ``min(f+2, t+1)`` at ``f + 2``)."""
+    return (
+        formulas.extended_time(formulas.crw_round_bound(f), D, d),
+        formulas.classic_time(formulas.early_stopping_round_bound(f, f + 1), D),
+    )
+
+
 def e3_timing(D: float = 100.0) -> ExperimentResult:
     """(f+1)(D+d) vs (f+2)D with the crossover at d = D/(f+1)."""
     table = Table(
         ["f", "d/D", "crw time", "early-stopping time", "extended wins"],
         title="E3: completion-time comparison (Section 2.2)",
     )
-    for point in timing_series(D):
-        table.add_row(
-            point.f,
-            point.d_over_D,
-            point.crw,
-            point.early_stopping,
-            "yes" if point.extended_wins else "no",
-        )
+    for f in (0, 1, 2, 4):
+        for frac in (0.0, 0.1, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5):
+            crw, early = _e3_times(D, frac * D, f)
+            table.add_row(f, frac, crw, early, "yes" if crw < early else "no")
     cross = Table(
         ["f", "crossover d/D (model)", "formula D/(f+1) /D"],
         title="E3b: crossover position",
@@ -277,10 +283,11 @@ def e3_timing(D: float = 100.0) -> ExperimentResult:
         flip = None
         for k in range(1, 2001):
             d = D * k / 1000.0
-            if not RoundCost(D=D, d=d).extended_wins(f):
+            crw, early = _e3_times(D, d, f)
+            if not crw < early:
                 flip = d / D
                 break
-        formula = crossover_d(D, f) / D
+        formula = formulas.crossover_d(D, f) / D
         matches = matches and flip is not None and abs(flip - formula) <= 1e-3
         cross.add_row(f, flip, formula)
     return ExperimentResult(
@@ -410,41 +417,37 @@ def e5_mr99(
         ["algorithm", "n", "t", "f", "delay", "mean rounds", "max rounds", "mean msgs", "spec"],
         title="E5: asynchronous diamond-S algorithms across crash counts and delay models",
     )
-    all_ok = True
-    delays = {
-        "uniform": {"delay": "uniform", "lo": 0.5, "hi": 1.5},
-        "lognormal": {"delay": "lognormal", "mu": 0.0, "sigma": 0.75},
-    }
-    for algo_name in ("mr99", "chandra-toueg"):
-        for n in n_values:
-            t = (n - 1) // 2
-            for f in range(0, t + 1):
-                for delay_name, delay_timing in delays.items():
-                    rounds, msgs = [], []
-                    for seed in range(seeds):
-                        record = execute(Scenario(
-                            algorithm=algo_name,
-                            n=n,
-                            t=t,
-                            f=f,
-                            adversary="coordinator-killer",  # first f coordinators die at t=0
-                            timing={**delay_timing, "detection_latency": 1.0},
-                            seed=seed,
-                        ))
-                        all_ok = all_ok and record.spec_ok
-                        rounds.append(record.last_decision_round)
-                        msgs.append(record.messages_sent)
-                    table.add_row(
-                        algo_name,
-                        n,
-                        t,
-                        f,
-                        delay_name,
-                        sum(rounds) / len(rounds),
-                        max(rounds),
-                        sum(msgs) / len(msgs),
-                        "ok" if all_ok else "VIOLATED",
-                    )
+    delays = (
+        {"delay": "uniform", "lo": 0.5, "hi": 1.5},
+        {"delay": "lognormal", "mu": 0.0, "sigma": 0.75},
+    )
+    configs = [
+        Scenario(
+            algorithm=algo_name,
+            n=n,
+            t=(n - 1) // 2,
+            f=f,
+            adversary="coordinator-killer",  # first f coordinators die at t=0
+            timing={**delay, "detection_latency": 1.0},
+        )
+        for algo_name in ("mr99", "chandra-toueg")
+        for n in n_values
+        for f in range((n - 1) // 2 + 1)
+        for delay in delays
+    ]
+    summaries = _summaries(configs, seeds)
+    for config, row in zip(configs, summaries):
+        table.add_row(
+            row.algorithm,
+            row.n,
+            row.t,
+            row.f,
+            config.timing["delay"],
+            row.mean_last_round,
+            row.max_last_round,
+            row.mean_messages,
+            "ok" if row.spec_ok else "VIOLATED",
+        )
     structure = Table(
         ["model", "per-round steps", "who sends step 2", "what step 2 means"],
         title="E5b: the structural bridge (paper Section 4)",
@@ -458,7 +461,7 @@ def e5_mr99(
         claim="MR99 realizes the same two-step/locking pattern; rounds used "
         "grow with dead coordinators exactly as CRW's do",
         tables=[table, structure],
-        findings={"all_async_runs_uniform": all_ok},
+        findings={"all_async_runs_uniform": all(row.spec_ok for row in summaries)},
     )
 
 
@@ -475,7 +478,6 @@ def e6_ffd(
     n: int = 6,
 ) -> ExperimentResult:
     """Measured FFD decision time ~ D + f*d_fd, vs CRW's (f+1)(D+d)."""
-    cost = RoundCost(D=D, d=d_ext)
     table = Table(
         ["f", "ffd measured", "ffd model D+(f+1)d", "crw model (f+1)(D+d)", "ffd wins"],
         title="E6: fast-FD consensus vs extended-model consensus (time)",
@@ -493,8 +495,8 @@ def e6_ffd(
         ))
         ok = ok and record.spec_ok
         measured = record.raw.max_decision_time
-        model = cost.ffd_time(f, d_fd)
-        crw = cost.crw_time(f)
+        model = formulas.ffd_time_bound(f, D, d_fd)
+        crw = formulas.extended_time(formulas.crw_round_bound(f), D, d_ext)
         within = within and measured <= model + 1e-9
         table.add_row(f, measured, model, crw, "yes" if model < crw else "no")
     return ExperimentResult(

@@ -1,14 +1,11 @@
-"""Message substrate: payloads, messages, accounting, FIFO channels."""
+"""Message substrate: payloads, messages, accounting."""
 
 from repro.net.accounting import MessageStats
-from repro.net.channel import ChannelNetwork, FifoChannel
 from repro.net.message import Message, MessageKind
 from repro.net.payload import SizedValue, bit_size
 
 __all__ = [
     "MessageStats",
-    "ChannelNetwork",
-    "FifoChannel",
     "Message",
     "MessageKind",
     "SizedValue",

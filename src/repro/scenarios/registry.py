@@ -107,7 +107,9 @@ class AlgorithmDef:
     own processes inside :func:`repro.ffd.consensus.run_ffd_consensus`).
     ``spec`` optionally overrides the default uniform-consensus check for
     algorithms whose decision values are not proposals (interactive
-    consistency decides vectors).  ``param_keys`` declares the
+    consistency decides vectors).  ``round_bound(f, t)`` is the latest
+    decision round, from :mod:`repro.analysis.formulas`; it is ``None``
+    where no paper formula applies.  ``param_keys`` declares the
     ``Scenario.params`` keys the factory reads;
     :func:`~repro.scenarios.execute.execute` rejects any other key (by
     default every key: most algorithms read no params).
@@ -204,6 +206,11 @@ def register_workload(wl: WorkloadDef, *, replace: bool = False) -> WorkloadDef:
 
 
 def _register_builtin_algorithms() -> None:
+    from repro.analysis.formulas import (
+        crw_round_bound,
+        early_stopping_round_bound,
+        floodset_rounds,
+    )
     from repro.asyncsim.chandra_toueg import ChandraTouegConsensus
     from repro.asyncsim.mr99 import MR99Consensus
     from repro.baselines.early_stopping import EarlyStoppingConsensus
@@ -233,18 +240,21 @@ def _register_builtin_algorithms() -> None:
             cls(pid, n, props[pid - 1], t) for pid in range(1, n + 1)
         ]
 
+    crw_bound = lambda f, t: crw_round_bound(f)  # noqa: E731
+    flood_bound = lambda f, t: floodset_rounds(t)  # noqa: E731
+
     register_algorithm(AlgorithmDef(
         name="crw",
         backend="extended",
         factory=crw_like(CRWConsensus),
-        round_bound=lambda f, t: f + 1,
+        round_bound=crw_bound,
         description="the paper's Figure-1 algorithm (f+1 rounds, extended model)",
     ))
     register_algorithm(AlgorithmDef(
         name="eager-crw",
         backend="extended",
         factory=crw_like(EagerCRW),
-        round_bound=lambda f, t: f + 1,
+        round_bound=crw_bound,
         description="ablation: decides on DATA alone (agreement breaks under crashes)",
     ))
     register_algorithm(AlgorithmDef(
@@ -257,7 +267,6 @@ def _register_builtin_algorithms() -> None:
             )
             for pid in range(1, n + 1)
         ],
-        round_bound=lambda f, t: t,  # the (impossible) deadline it enforces
         description="ablation: force-decides at round k (params: k, default t)",
         param_keys=frozenset({"k"}),
     ))
@@ -271,28 +280,28 @@ def _register_builtin_algorithms() -> None:
         name="full-broadcast-crw",
         backend="extended",
         factory=crw_like(FullBroadcastCRW),
-        round_bound=lambda f, t: f + 1,
+        round_bound=crw_bound,
         description="ablation: coordinator broadcasts to everyone (extra traffic)",
     ))
     register_algorithm(AlgorithmDef(
         name="floodset",
         backend="classic",
         factory=classic_with_t(FloodSetConsensus),
-        round_bound=lambda f, t: t + 1,
+        round_bound=flood_bound,
         description="textbook flooding consensus (t+1 rounds, classic model)",
     ))
     register_algorithm(AlgorithmDef(
         name="early-stopping",
         backend="classic",
         factory=classic_with_t(EarlyStoppingConsensus),
-        round_bound=lambda f, t: min(f + 2, t + 1),
+        round_bound=early_stopping_round_bound,
         description="early-stopping classic consensus (min(f+2, t+1) rounds)",
     ))
     register_algorithm(AlgorithmDef(
         name="interactive-consistency",
         backend="classic",
         factory=classic_with_t(InteractiveConsistency),
-        round_bound=lambda f, t: t + 1,
+        round_bound=flood_bound,
         spec=lambda result: check_interactive_consistency(result),
         description="flooding IC: agree on the full proposal vector (t+1 rounds)",
     ))
@@ -300,7 +309,7 @@ def _register_builtin_algorithms() -> None:
         name="ic-consensus",
         backend="classic",
         factory=classic_with_t(ICConsensus),
-        round_bound=lambda f, t: t + 1,
+        round_bound=flood_bound,
         description="the IC -> consensus reduction (decide the minimum entry)",
     ))
     register_algorithm(AlgorithmDef(
@@ -360,7 +369,7 @@ def _register_builtin_adversaries() -> None:
         "coordinator-killer": "crashes each rotating coordinator mid-control-step",
         "coordinator-killer-subset": "cascade delivering to a random subset",
         "commit-splitter": "splits the COMMIT prefix at the worst position",
-        "max-traffic": "cascade maximising retransmission traffic",
+        "max-traffic": "cascade withholding each COMMIT from the next coordinator",
         "staggered": "crashes processes that are never coordinators",
         "random": "random pids, points, and prefixes",
         "random-classic": "random crashes restricted to classic crash points",

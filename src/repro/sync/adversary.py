@@ -161,14 +161,16 @@ class CommitSplitter(Adversary):
 
 @dataclass(frozen=True)
 class MaxTrafficCascade(Adversary):
-    """Theorem 2's worst-case traffic: coordinator ``p_r`` completes its
-    data step and crashes after sending commits to everybody *except* the
-    next coordinator (prefix ``n - r - 1`` of the decreasing sequence), for
-    ``r = 1..f``.
+    """Coordinator ``p_r`` completes its data step and crashes after
+    sending commits to everybody *except* the next coordinator (prefix
+    ``n - r - 1`` of the decreasing sequence), for ``r = 1..f``.
 
-    Each round therefore carries almost the full ``2(n-r)`` messages of the
-    paper's worst-case sum while the run still lasts ``f + 1`` rounds
-    (the next coordinator never sees a commit, so it keeps going)."""
+    This is not Theorem 2's worst case.  ``p_1``'s commits reach every
+    process above ``p_2``, which decide in round 1 and never coordinate,
+    so at most two rounds carry traffic.  For ``f >= 2`` the last decision
+    round is 1, and the run sends one COMMIT fewer than at ``f = 1``: at
+    ``|v| = 8``, 115 bits at n=8, f=7 against 116 at f=1.  ROADMAP item 10
+    describes the exact worst case."""
 
     f: int
 

@@ -2,13 +2,23 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
+from repro.analysis.formulas import (
+    classic_time,
+    crw_round_bound,
+    extended_time,
+    simulation_blowup,
+)
+from repro.harness import experiments
 from repro.harness.cli import main
 from repro.harness.experiments import (
     e1_rounds,
     e2_bits,
     e3_timing,
+    e5_mr99,
     e6_ffd,
     e7_simulation,
 )
@@ -32,6 +42,58 @@ class TestExperiments:
         result = e3_timing()
         assert result.findings["empirical_crossover_matches_formula"] is True
 
+    def test_e3_rows_are_the_formulas(self):
+        table = e3_timing(D=100.0).tables[0]
+        assert len(table.rows) == 4 * 8  # f values x d/D fractions
+        col = table.columns.index
+        for row in table.rows:  # cells are rendered strings
+            f, frac = int(row[col("f")]), float(row[col("d/D")])
+            crw = extended_time(crw_round_bound(f), 100.0, frac * 100.0)
+            early = classic_time(f + 2, 100.0)
+            assert float(row[col("crw time")]) == pytest.approx(crw)
+            assert float(row[col("early-stopping time")]) == pytest.approx(early)
+            assert row[col("extended wins")] == ("yes" if crw < early else "no")
+
+    def test_e3_winner_flips_once_per_f(self):
+        table = e3_timing().tables[0]
+        col = table.columns.index
+        for f in (0, 1, 2, 4):
+            wins = [row[col("extended wins")] for row in table.rows if row[col("f")] == str(f)]
+            assert wins[0] == "yes" and wins[-1] == "no"
+            assert sum(a != b for a, b in zip(wins, wins[1:])) == 1
+
+    def test_e3_f0_tie_at_d_equals_D(self):
+        # For f=0: 1*(D+d) vs 2D ties exactly at d = D, and a tie is no win.
+        table = e3_timing().tables[0]
+        col = table.columns.index
+        wins = {row[col("d/D")]: row[col("extended wins")]
+                for row in table.rows if row[col("f")] == "0"}
+        assert (wins["0.75"], wins["1"], wins["1.25"]) == ("yes", "no", "no")
+
+    def test_e5_small(self, monkeypatch):
+        summaries = []
+        summarize_records = experiments.summarize_records
+
+        def summarize(records):
+            # Mark the first row's cell as violated; later rows keep theirs.
+            (row,) = summarize_records(records)
+            if not summaries:
+                row = dataclasses.replace(row, spec_ok=False)
+            summaries.append(row)
+            return [row]
+
+        result = e5_mr99(n_values=(5,), seeds=2)
+        assert result.findings["all_async_runs_uniform"] is True
+
+        monkeypatch.setattr(experiments, "summarize_records", summarize)
+        result = e5_mr99(n_values=(5,), seeds=2)
+        table = result.tables[0]
+        spec = [row[table.columns.index("spec")] for row in table.rows]
+        assert len(spec) == len(summaries) == 2 * 3 * 2  # algorithms x f x delays
+        assert spec == ["ok" if row.spec_ok else "VIOLATED" for row in summaries]
+        assert spec[0] == "VIOLATED" and "VIOLATED" not in spec[1:]
+        assert result.findings["all_async_runs_uniform"] is False
+
     def test_e6_small(self):
         result = e6_ffd(f_values=(0, 2))
         assert result.findings["ffd_runs_uniform"] is True
@@ -40,6 +102,10 @@ class TestExperiments:
     def test_e7_small(self):
         result = e7_simulation(n_values=(4,), f_values=(0, 1))
         assert result.findings["simulated_runs_uniform"] is True
+        table = result.tables[0]
+        for row in table.rows:
+            n, blowup = int(row[0]), row[table.columns.index("blow-up")]
+            assert float(blowup) == simulation_blowup(n)
 
     def test_render_markdown(self):
         md = render_experiment_markdown(e3_timing())

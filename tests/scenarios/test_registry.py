@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analysis import formulas
 from repro.errors import ConfigurationError
 from repro.scenarios import (
     ADVERSARIES,
@@ -48,6 +49,38 @@ class TestCoverage:
     def test_backends_are_valid(self):
         for _name, algo in ALGORITHMS.items():
             assert algo.backend in ("extended", "classic", "async", "ffd")
+
+
+#: The formula each registered ``round_bound(f, t)`` must equal.
+BOUND_FORMULAS = {
+    "crw": lambda f, t: formulas.crw_round_bound(f),
+    "eager-crw": lambda f, t: formulas.crw_round_bound(f),
+    "full-broadcast-crw": lambda f, t: formulas.crw_round_bound(f),
+    "floodset": lambda f, t: formulas.floodset_rounds(t),
+    "interactive-consistency": lambda f, t: formulas.floodset_rounds(t),
+    "ic-consensus": lambda f, t: formulas.floodset_rounds(t),
+    "early-stopping": formulas.early_stopping_round_bound,
+}
+
+
+class TestRoundBounds:
+    def test_every_bound_is_a_formula(self):
+        bounded = {name for name, algo in ALGORITHMS.items() if algo.round_bound is not None}
+        assert bounded == set(BOUND_FORMULAS)
+        for name, formula in BOUND_FORMULAS.items():
+            bound = ALGORITHMS.get(name).round_bound
+            for t in range(6):
+                for f in range(t + 1):
+                    assert bound(f, t) == formula(f, t), (name, f, t)
+
+    def test_truncated_crw_has_no_bound(self):
+        # Its deadline is the `k` param, which an (f, t) callable cannot see.
+        from repro.scenarios import Scenario, execute
+
+        assert ALGORITHMS.get("truncated-crw").round_bound is None
+        record = execute(Scenario(algorithm="truncated-crw", n=6, t=5, f=3,
+                                  adversary="coordinator-killer", params={"k": 2}))
+        assert record.last_decision_round == 2
 
 
 class TestRegistryContract:
