@@ -6,6 +6,7 @@ from repro.asyncsim.failure_detector import DetectorSpec
 from repro.asyncsim.mr99 import MR99Consensus
 from repro.asyncsim.runner import AsyncCrash, AsyncRunner
 from repro.harness.experiments import e5_mr99
+from repro.sync.spec import check_consensus
 from repro.util.rng import RandomSource
 
 
@@ -29,7 +30,7 @@ def test_e5_kernel_failure_free(benchmark):
         return runner.run()
 
     result = benchmark(kernel)
-    assert result.check_consensus() == []
+    assert check_consensus(result).ok
 
 
 def test_e5_kernel_coordinator_cascade(benchmark):
@@ -45,5 +46,5 @@ def test_e5_kernel_coordinator_cascade(benchmark):
         return runner.run()
 
     result = benchmark(kernel)
-    assert result.check_consensus() == []
+    assert check_consensus(result).ok
     assert set(result.decisions.values()) == {105}

@@ -5,6 +5,7 @@ from __future__ import annotations
 from repro.ffd.consensus import run_ffd_consensus
 from repro.ffd.timed import TimedCrash, TimedSpec
 from repro.harness.experiments import e6_ffd
+from repro.sync.spec import check_consensus
 from repro.util.rng import RandomSource
 
 
@@ -27,6 +28,6 @@ def test_e6_kernel_cascade(benchmark):
         )
 
     result = benchmark(kernel)
-    assert result.check_consensus() == []
+    assert check_consensus(result).ok
     # D + f*d (+ the implementation's one-slot detector settle).
     assert result.max_decision_time <= 100.0 + 3 * 1.0 + 1.0 + 1e-9

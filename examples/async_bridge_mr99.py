@@ -14,7 +14,12 @@ structural correspondence the paper draws:
     python examples/async_bridge_mr99.py
 """
 
-from repro import CoordinatorKiller, CRWConsensus, ExtendedSynchronousEngine
+from repro import (
+    CoordinatorKiller,
+    CRWConsensus,
+    ExtendedSynchronousEngine,
+    check_consensus,
+)
 from repro.asyncsim import AsyncCrash, AsyncRunner, DetectorSpec, MR99Consensus
 from repro.util import RandomSource, Table
 
@@ -37,7 +42,7 @@ def run_mr99(n: int, t: int, f: int) -> tuple[int, int]:
         rng=RandomSource(5),
     )
     result = runner.run()
-    assert result.check_consensus() == []
+    assert check_consensus(result).ok
     return max(result.decision_rounds.values()), result.stats.async_sent
 
 

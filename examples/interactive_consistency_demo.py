@@ -50,7 +50,7 @@ def main() -> None:
     vector = next(iter(result.decisions.values()))
     print(f"agreed vector ({result.rounds_executed} rounds = t+1):")
     for j, entry in enumerate(vector, start=1):
-        status = "crashed" if result.outcomes[j].crashed else "correct"
+        status = "crashed" if j in result.crashed else "correct"
         shown = "⊥" if entry is BOTTOM else entry
         print(f"  V[{j}] = {shown:>3}   (p{j} {status})")
     print(

@@ -13,6 +13,7 @@ against the *measured* decision times of the timed simulator.
     python examples/timing_tradeoff.py
 """
 
+from repro import check_consensus
 from repro.analysis.formulas import (
     classic_time,
     crossover_d,
@@ -51,7 +52,7 @@ def main() -> None:
         result = run_ffd_consensus(
             spec, [100 + pid for pid in range(1, n + 1)], crashes, rng=RandomSource(f)
         )
-        assert result.check_consensus() == []
+        assert check_consensus(result).ok
         table.add_row(
             f,
             result.max_decision_time,

@@ -247,8 +247,6 @@ class ChandraTouegTable(AsyncBatchedTable):
     ) -> "ChandraTouegTable":
         return cls(processes, network, detector)
 
-    supports_refill = True
-
     def refill(self, proposals: Sequence[Any]) -> bool:
         """Re-arm every column to the fresh-process state (est = proposal)."""
         refill_column(self.est, proposals)

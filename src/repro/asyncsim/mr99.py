@@ -238,8 +238,6 @@ class MR99Table(AsyncBatchedTable):
     ) -> "MR99Table":
         return cls(processes, network, detector)
 
-    supports_refill = True
-
     def refill(self, proposals: Sequence[Any]) -> bool:
         """Re-arm every column to the fresh-process state (est = proposal)."""
         refill_column(self.est, proposals)

@@ -262,20 +262,16 @@ class AsyncBatchedTable(abc.ABC):
     def on_fd_change(self, observer: int) -> None:
         """``observer``'s suspect list may have changed."""
 
-    #: Refill capability advertisement (mirror of
-    #: :attr:`repro.sync.api.VectorAlgorithm.supports_refill`): tables
-    #: that implement :meth:`refill` set this True, letting a leased
-    #: runner rerun a configuration without rebuilding processes or table.
-    supports_refill: bool = False
-
     def refill(self, proposals: Sequence[Any]) -> bool:
         """Rewrite the columns in place for a fresh run with ``proposals``.
 
-        Returns True when taken (the columns must then equal what
-        ``from_processes`` over freshly constructed same-configuration
-        processes would build — byte-identical runs, pinned by the refill
-        parity grid), False when unsupported.  The runner re-arms the
-        retained process objects' decision mirrors itself.
+        A taken refill lets a leased runner rerun a configuration without
+        rebuilding processes or table.  Returns True when taken (the
+        columns must then equal what ``from_processes`` over freshly
+        constructed same-configuration processes would build —
+        byte-identical runs, pinned by the refill parity grid), False when
+        unsupported (the default).  The runner re-arms the retained
+        process objects' decision mirrors itself.
         """
         return False
 

@@ -25,7 +25,7 @@ identical to a freshly constructed one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable, Sequence
+from typing import Any, ClassVar, Iterable, Sequence
 
 from repro.asyncsim.events import EventQueue
 from repro.asyncsim.failure_detector import DetectorSpec, SimulatedDiamondS
@@ -58,7 +58,15 @@ class AsyncCrash:
 
 @dataclass(slots=True)
 class AsyncRunResult:
-    """Observable outcome of one asynchronous run."""
+    """Observable outcome of one asynchronous run.
+
+    Carries the ledgers :func:`~repro.sync.spec.check_consensus` reads:
+    ``proposals``, ``decisions``, ``decision_rounds`` (the protocol round
+    each decider decided in) and ``crashed`` (pid → crash time).  The run
+    has no round budget — a process still undecided at the time horizon
+    shows up as a termination violation — so ``completed`` is always
+    True (a class constant).
+    """
 
     n: int
     t: int
@@ -70,28 +78,11 @@ class AsyncRunResult:
     sim_time: float
     events_executed: int
     stats: MessageStats
+    completed: ClassVar[bool] = True
 
     @property
     def f(self) -> int:
         return len(self.crashed)
-
-    @property
-    def correct_pids(self) -> list[int]:
-        return [pid for pid in self.proposals if pid not in self.crashed]
-
-    def check_consensus(self) -> list[str]:
-        """Uniform-consensus violations of this run (empty = OK)."""
-        violations: list[str] = []
-        proposed = set(self.proposals.values())
-        for pid in self.correct_pids:
-            if pid not in self.decisions:
-                violations.append(f"termination: correct p{pid} never decided")
-        for pid, value in self.decisions.items():
-            if value not in proposed:
-                violations.append(f"validity: p{pid} decided unproposed {value!r}")
-        if len(set(self.decisions.values())) > 1:
-            violations.append(f"uniform agreement: {self.decisions}")
-        return violations
 
 
 class AsyncRunner:
@@ -227,20 +218,21 @@ class AsyncRunner:
         """Rearm for a fresh run **without** a new process list.
 
         The factory-free sibling of :meth:`reset`: when the runner steps
-        through a batched table advertising ``refill``
-        (:attr:`~repro.asyncsim.process.AsyncBatchedTable.supports_refill`),
-        the table's columns are rewritten in place from ``proposals``, the
+        through a batched table whose
+        :meth:`~repro.asyncsim.process.AsyncBatchedTable.refill` takes the
+        proposals, the table's columns are rewritten in place, the
         retained process objects are re-armed as decision mirrors
         (decision slots cleared, ``proposal`` updated — their other
         protocol attributes keep the previous run's values; the table is
         authoritative), and queue/network/detector/stats are reset exactly
         as :meth:`reset` would.  Returns False (taking no action) when no
-        refillable table is installed; callers then fall back to the
-        factory + :meth:`reset` path.  Refilled runs are byte-identical
-        to fresh ones (``tests/scenarios/test_columnar_parity.py``).
+        batched table is installed or the table declines; callers then
+        fall back to the factory + :meth:`reset` path.  Refilled runs are
+        byte-identical to fresh ones
+        (``tests/scenarios/test_columnar_parity.py``).
         """
         table = self._table
-        if table is None or not table.supports_refill:
+        if table is None:
             return False
         if len(proposals) != self.n:
             raise ConfigurationError(

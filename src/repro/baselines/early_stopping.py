@@ -169,8 +169,6 @@ class _EarlyStoppingVectorTable(VectorAlgorithm):
             int_column(prev_nbr, offset=1),
         )
 
-    supports_refill = True
-
     def refill(self, proposals: Sequence[Any]) -> bool:
         if key_order(proposals) is None:
             return False  # factory + reset: the table declines these values

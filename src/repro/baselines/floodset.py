@@ -191,8 +191,6 @@ class _FloodSetVectorTable(VectorAlgorithm):
             table.new[p.pid] = sum(1 << bit_of[v] for v in p._new)
         return table
 
-    supports_refill = True
-
     def refill(self, proposals: Sequence[Any]) -> bool:
         universe = key_order(proposals)
         if universe is None:

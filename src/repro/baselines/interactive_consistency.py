@@ -30,6 +30,7 @@ from repro.baselines.floodset import value_key
 from repro.errors import ConfigurationError
 from repro.sync.api import NO_SEND, RoundInbox, SendPlan, SyncProcess
 from repro.sync.result import RunResult
+from repro.sync.spec import termination_violations
 
 __all__ = [
     "BOTTOM",
@@ -116,23 +117,24 @@ class ICConsensus(InteractiveConsistency):
 def check_interactive_consistency(result: RunResult) -> list[str]:
     """IC spec violations for a run of :class:`InteractiveConsistency`."""
     violations: list[str] = []
-    vectors = list(result.decisions.values())
+    # Pid order, whatever order the processes decided in.
+    decisions = dict(sorted(result.decisions.items()))
+    proposals, crashed = result.proposals, result.crashed
+    vectors = list(decisions.values())
     # Uniform vector agreement.
     if len(set(vectors)) > 1:
         violations.append(f"vector agreement: {set(vectors)}")
-    # Termination.
-    for pid in result.correct_pids:
-        if not result.outcomes[pid].decided:
-            violations.append(f"termination: correct p{pid} never decided")
+    # Termination: the consensus clause, word for word.
+    violations += termination_violations(result)
     # Validity, entry by entry.
-    for pid, vector in result.decisions.items():
+    for pid, vector in decisions.items():
         if len(vector) != result.n:
             violations.append(f"p{pid}: vector arity {len(vector)} != n")
             continue
         for j in range(1, result.n + 1):
             entry = vector[j - 1]
-            expected = result.outcomes[j].proposal
-            if result.outcomes[j].correct:
+            expected = proposals[j]
+            if j not in crashed:
                 if entry != expected:
                     violations.append(
                         f"validity: p{pid} has V[{j}]={entry!r} but correct p{j} proposed {expected!r}"

@@ -144,8 +144,6 @@ class CRWVectorTable(VectorAlgorithm):
     def from_processes(cls, processes: Sequence[SyncProcess]) -> "CRWVectorTable":
         return cls(processes[0].n, est_column(processes))
 
-    supports_refill = True
-
     def refill(self, proposals: Sequence[Any]) -> bool:
         # A fresh Figure-1 process is just est = proposal; the est column
         # is the table's only run-varying state (the ablation tables

@@ -41,10 +41,11 @@ class LockReport:
 
 def _coordinator_active_at(result: RunResult, pid: int, round_no: int) -> bool:
     """Was ``pid`` still running (not crashed, not decided) entering ``round_no``?"""
-    o = result.outcomes[pid]
-    if o.crashed and o.crashed_round < round_no:
+    crashed = result.crashed.get(pid)
+    if crashed is not None and crashed < round_no:
         return False
-    if o.decided and o.decided_round < round_no:
+    decided = result.decision_rounds.get(pid)
+    if decided is not None and decided < round_no:
         return False
     return True
 
@@ -82,8 +83,8 @@ def analyze_locking(result: RunResult) -> LockReport:
         delivered = result.trace.events(kind="deliver.data", pid=coord, round_no=r)
         if delivered:
             locked_value = delivered[0].get("payload")
-        elif result.outcomes[coord].decided:
-            locked_value = result.outcomes[coord].decision
+        elif coord in result.decisions:
+            locked_value = result.decisions[coord]
         else:
             # Completed data step with no surviving witnesses and no own
             # decision (AFTER_SEND crash with nobody to talk to): the locked

@@ -273,8 +273,6 @@ class _TruncatedCRWVectorTable(VectorAlgorithm):
             return None
         return cls(processes[0].n, est_column(processes), k)
 
-    supports_refill = True
-
     def refill(self, proposals: Sequence[Any]) -> bool:
         # The deadline ``k`` is configuration (params + t), fixed across
         # a lease; only the estimates vary run to run.

@@ -31,7 +31,7 @@ process decides by ``(L-1)·d + 2D``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, ClassVar
 
 from repro.errors import ConfigurationError
 from repro.ffd.timed import TimedCrash, TimedEnvironment, TimedSpec
@@ -44,38 +44,28 @@ __all__ = ["FastFDConsensus", "FFDRunResult", "run_ffd_consensus"]
 
 @dataclass(slots=True)
 class FFDRunResult:
-    """Outcome of a fast-FD consensus run."""
+    """Outcome of a fast-FD consensus run.
+
+    Carries the ledgers :func:`~repro.sync.spec.check_consensus` reads.
+    Decisions here are purely timed, so every ``decision_rounds`` entry
+    is 0; ``crashed`` maps pid → crash time.  The run has no round
+    budget, so ``completed`` is always True (a class constant).
+    """
 
     n: int
     proposals: dict[int, Any]
     decisions: dict[int, Any]
     decision_times: dict[int, float]
+    decision_rounds: dict[int, int]
     crashed: dict[int, float]
     fired_slots: list[int]
     sim_time: float
-    stats: MessageStats | None = None
+    stats: MessageStats
+    completed: ClassVar[bool] = True
 
     @property
     def f(self) -> int:
         return len(self.crashed)
-
-    @property
-    def correct_pids(self) -> list[int]:
-        return [pid for pid in self.proposals if pid not in self.crashed]
-
-    def check_consensus(self) -> list[str]:
-        """Uniform-consensus violations (empty list = run is correct)."""
-        out: list[str] = []
-        proposed = set(self.proposals.values())
-        for pid in self.correct_pids:
-            if pid not in self.decisions:
-                out.append(f"termination: correct p{pid} never decided")
-        for pid, v in self.decisions.items():
-            if v not in proposed:
-                out.append(f"validity: p{pid} decided unproposed {v!r}")
-        if len(set(self.decisions.values())) > 1:
-            out.append(f"uniform agreement: {self.decisions}")
-        return out
 
     @property
     def max_decision_time(self) -> float:
@@ -272,13 +262,15 @@ def run_ffd_consensus(
     end = env.queue.run(until=spec.n * spec.d + 4 * spec.D, stop=settled)
 
     any_view = procs[max(procs)].fired_slots()
+    decisions = {pid: p.decision for pid, p in procs.items() if p.decided}
     return FFDRunResult(
         n=spec.n,
         proposals={pid: p.proposal for pid, p in procs.items()},
-        decisions={pid: p.decision for pid, p in procs.items() if p.decided},
+        decisions=decisions,
         decision_times={
             pid: p.decision_time for pid, p in procs.items() if p.decided
         },
+        decision_rounds=dict.fromkeys(decisions, 0),
         crashed=dict(env.crashed),
         fired_slots=any_view,
         sim_time=end,

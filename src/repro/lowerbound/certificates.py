@@ -81,17 +81,12 @@ def certify_f_plus_one(
     result = engine.run()
     spec = check_consensus(result, require_early_stopping=True)
     tight = result.last_decision_round == f + 1 and result.f == f
+    decisions, rounds = result.decisions, result.decision_rounds
     leaf = LeafOutcome(
         decisions=tuple(
-            (pid, o.decision, o.decided_round)
-            for pid, o in sorted(result.outcomes.items())
-            if o.decided
+            (pid, decisions[pid], rounds[pid]) for pid in sorted(decisions)
         ),
-        crashed=tuple(
-            (pid, o.crashed_round)
-            for pid, o in sorted(result.outcomes.items())
-            if o.crashed
-        ),
+        crashed=tuple(sorted(result.crashed.items())),
         rounds=result.rounds_executed,
         completed=result.completed,
         schedule=tuple(worst_case_schedule(f).events.values()),

@@ -38,7 +38,8 @@ from repro.net.accounting import MessageStats
 from repro.sync.api import SyncProcess
 from repro.sync.crash import CrashEvent, CrashPoint, CrashSchedule
 from repro.sync.engine import execute_round
-from repro.sync.result import ProcessOutcome, RunResult
+from repro.sync.result import RunResult
+from repro.sync.spec import check_consensus
 from repro.util.trace import Trace
 
 
@@ -159,7 +160,8 @@ class _Node:
     procs: dict[int, SyncProcess]
     active: set[int]
     crashed: dict[int, int]  # pid -> round
-    decisions: dict[int, tuple[Any, int]]  # pid -> (value, round)
+    decisions: dict[int, Any]  # pid -> value
+    decision_rounds: dict[int, int]  # pid -> round
     round_no: int
     schedule: tuple[CrashEvent, ...]
 
@@ -186,6 +188,10 @@ class Explorer:
         if sorted(root) != list(range(1, self.n + 1)):
             raise ConfigurationError("factory pids must be 1..n")
         self._root = root
+        # Proposals are fixed at construction; every leaf shares them.
+        self._proposals = {
+            pid: getattr(proc, "proposal", None) for pid, proc in root.items()
+        }
 
     # -- adversary choice enumeration ---------------------------------------
 
@@ -263,7 +269,10 @@ class Explorer:
             node.round_no,
             frozenset(node.active),
             len(node.crashed),
-            tuple(sorted(node.decisions.items())),
+            tuple(
+                (pid, node.decisions[pid], node.decision_rounds[pid])
+                for pid in sorted(node.decisions)
+            ),
             procs_state,
         )
 
@@ -275,6 +284,7 @@ class Explorer:
             active=set(range(1, self.n + 1)),
             crashed={},
             decisions={},
+            decision_rounds={},
             round_no=0,
             schedule=(),
         )
@@ -311,6 +321,7 @@ class Explorer:
                     active=set(node.active),
                     crashed=dict(node.crashed),
                     decisions=dict(node.decisions),
+                    decision_rounds=dict(node.decision_rounds),
                     round_no=node.round_no + 1,
                     schedule=node.schedule + crash_combo,
                 )
@@ -328,7 +339,8 @@ class Explorer:
                     child.crashed[pid] = child.round_no
                     child.active.discard(pid)
                 for pid, value in outcome.new_decisions.items():
-                    child.decisions[pid] = (value, child.round_no)
+                    child.decisions[pid] = value
+                    child.decision_rounds[pid] = child.round_no
                     child.active.discard(pid)
                 stack.append(child)
         return report
@@ -336,13 +348,13 @@ class Explorer:
     # -- leaf evaluation ----------------------------------------------------------
 
     def _leaf(self, node: _Node) -> LeafOutcome:
-        result = self._as_run_result(node)
-        from repro.sync.spec import check_consensus
-
-        spec = check_consensus(result, uniform=self.config.check_uniform)
+        spec = check_consensus(
+            self._as_run_result(node), uniform=self.config.check_uniform
+        )
+        decisions, rounds = node.decisions, node.decision_rounds
         return LeafOutcome(
             decisions=tuple(
-                (pid, v, r) for pid, (v, r) in sorted(node.decisions.items())
+                (pid, decisions[pid], rounds[pid]) for pid in sorted(decisions)
             ),
             crashed=tuple(sorted(node.crashed.items())),
             rounds=node.round_no,
@@ -352,23 +364,15 @@ class Explorer:
         )
 
     def _as_run_result(self, node: _Node) -> RunResult:
-        outcomes = {}
-        for pid, proc in node.procs.items():
-            value_round = node.decisions.get(pid)
-            outcomes[pid] = ProcessOutcome(
-                pid=pid,
-                proposal=getattr(proc, "proposal", None),
-                decided=value_round is not None,
-                decision=value_round[0] if value_round else None,
-                decided_round=value_round[1] if value_round else 0,
-                crashed=pid in node.crashed,
-                crashed_round=node.crashed.get(pid, 0),
-            )
+        """The leaf as a run result: the node's own ledgers, handed over."""
         return RunResult(
             n=self.n,
             t=self.config.max_crashes,
             model="extended",
-            outcomes=outcomes,
+            proposals=self._proposals,
+            decisions=node.decisions,
+            decision_rounds=node.decision_rounds,
+            crashed=node.crashed,
             rounds_executed=node.round_no,
             completed=not node.active,
             stats=MessageStats(),

@@ -8,18 +8,23 @@ a message *sent* by a process that crashed mid-step may never be
 Two interfaces feed the counters:
 
 * :meth:`MessageStats.on_send` / :meth:`MessageStats.on_deliver` take a
-  materialized :class:`~repro.net.message.Message` (the traced path and
-  the continuous-time simulators);
-* :meth:`MessageStats.bulk_data` / :meth:`MessageStats.bulk_control`
-  charge whole batches without any message objects — the synchronous
-  fast path counts a round's traffic the way the paper's analysis does,
-  in aggregate.  Both interfaces produce identical totals (pinned by
-  ``tests/net/test_accounting.py``).
+  materialized :class:`~repro.net.message.Message`.  Only the traced
+  synchronous delivery uses them: it builds every message anyway, to
+  record it;
+* the bulk methods charge without any message objects.
+  :meth:`MessageStats.bulk_data` / :meth:`MessageStats.bulk_control`
+  count an untraced synchronous round's traffic the way the paper's
+  analysis does, in aggregate; :meth:`MessageStats.bulk_async` charges
+  the continuous-time simulators (the asynchronous network and the
+  fast-failure-detector environment) per send or broadcast fan-out.
+
+The traced and untraced synchronous paths produce identical totals
+(pinned by ``tests/net/test_accounting.py``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.net.message import Message, MessageKind
 
@@ -130,19 +135,6 @@ class MessageStats:
             + self.async_delivered
             + self.marker_delivered
         )
-
-    def merge(self, other: "MessageStats") -> None:
-        """Accumulate ``other`` into ``self`` (used by sweep aggregation)."""
-        self.data_sent += other.data_sent
-        self.data_delivered += other.data_delivered
-        self.control_sent += other.control_sent
-        self.control_delivered += other.control_delivered
-        self.async_sent += other.async_sent
-        self.async_delivered += other.async_delivered
-        self.marker_sent += other.marker_sent
-        self.marker_delivered += other.marker_delivered
-        self.bits_sent += other.bits_sent
-        self.bits_delivered += other.bits_delivered
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return (

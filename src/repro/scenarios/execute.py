@@ -41,6 +41,7 @@ from repro.scenarios.record import RunRecord
 from repro.scenarios.registry import ADVERSARIES, ALGORITHMS, WORKLOADS, AlgorithmDef
 from repro.scenarios.scenario import Scenario
 from repro.sync.engine import check_batched
+from repro.sync.spec import check_consensus
 from repro.util.rng import RandomSource
 
 __all__ = ["execute", "resolved_t", "delay_model_from", "EngineLease"]
@@ -321,6 +322,11 @@ def _compile(scenario: Scenario, trace: bool, batched: bool | None) -> _Plan:
         f"workload {scenario.workload!r}",
     )
     plan = _Plan(algo, n, t, workload.build, trace, batched, scenario.max_rounds)
+    spec = algo.spec
+    plan.check = (
+        (lambda result: tuple(spec(result))) if spec is not None
+        else (lambda result: check_consensus(result).violations)
+    )
     if algo.backend in ("extended", "classic"):
         _compile_sync(plan, scenario)
     elif algo.backend == "async":
@@ -398,7 +404,6 @@ def execute(
 def _compile_sync(plan: _Plan, scenario: Scenario) -> None:
     from repro.sync.engine import ClassicSynchronousEngine
     from repro.sync.extended import ExtendedSynchronousEngine
-    from repro.sync.spec import check_consensus
 
     algo = plan.algo
     if scenario.timing:
@@ -414,11 +419,6 @@ def _compile_sync(plan: _Plan, scenario: Scenario) -> None:
     plan.adversary = adv.make_sync(scenario.f)
     plan.engine_cls = (
         ExtendedSynchronousEngine if algo.backend == "extended" else ClassicSynchronousEngine
-    )
-    spec = algo.spec
-    plan.check = (
-        (lambda result: tuple(spec(result))) if spec is not None
-        else (lambda result: check_consensus(result).violations)
     )
     plan.shape = EngineLease.shape_for(scenario, plan.trace, plan.batched)
     plan.run = _run_sync
@@ -462,27 +462,7 @@ def _run_sync(
                 batched=plan.batched,
             )
     result = engine.run(plan.max_rounds)
-    violations = plan.check(result)
-    # Straight off the engine's ledgers (identical to the per-outcome
-    # derivation but with C-level dict copies instead of an n-wide
-    # attribute-reading loop).
-    decision_rounds = engine.decision_rounds
-    crashed = sorted(engine.crashed_rounds)
-    return RunRecord(
-        scenario=scenario,
-        backend=plan.algo.backend,
-        decisions=engine.decisions,
-        decision_rounds=decision_rounds,
-        crashed=crashed,
-        f_actual=len(crashed),
-        rounds_executed=result.rounds_executed,
-        last_decision_round=max(decision_rounds.values(), default=0),
-        messages_sent=result.stats.messages_sent,
-        bits_sent=result.stats.bits_sent,
-        spec_ok=not violations,
-        violations=violations,
-        raw=result,
-    )
+    return _record(plan, scenario, result, result.rounds_executed)
 
 
 # ---------------------------------------------------------------------------
@@ -549,24 +529,9 @@ def _run_async(
         else:
             runner.reset(procs, crashes=crashes, rng=rng.spawn("engine"))
     result = runner.run(until=plan.until, max_events=plan.max_events)
-    violations = tuple(result.check_consensus())
-    last_round = max(result.decision_rounds.values(), default=0)
-    return RunRecord(
-        scenario=scenario,
-        backend="async",
-        decisions=dict(result.decisions),
-        decision_rounds=dict(result.decision_rounds),
-        crashed=sorted(result.crashed),
-        f_actual=result.f,
-        rounds_executed=last_round,
-        last_decision_round=last_round,
-        messages_sent=result.stats.messages_sent,
-        bits_sent=result.stats.bits_sent,
-        spec_ok=not violations,
-        violations=violations,
-        sim_time=result.sim_time,
-        raw=result,
-    )
+    # An asynchronous run's rounds are its deciders' protocol rounds.
+    rounds = max(result.decision_rounds.values(), default=0)
+    return _record(plan, scenario, result, rounds, result.sim_time)
 
 
 # ---------------------------------------------------------------------------
@@ -604,21 +569,44 @@ def _run_ffd(
         for pid, time in plan.timed(plan.n, plan.t, scenario.f, rng.spawn("adversary"))
     ]
     result = run_ffd_consensus(plan.ffd_spec, proposals, crashes, rng=rng.spawn("engine"))
-    violations = tuple(result.check_consensus())
+    return _record(plan, scenario, result, 0, result.sim_time)
+
+
+# ---------------------------------------------------------------------------
+# The normalized record, from any backend's ledgers.
+# ---------------------------------------------------------------------------
+
+
+def _record(
+    plan: _Plan,
+    scenario: Scenario,
+    result: Any,
+    rounds_executed: int,
+    sim_time: float | None = None,
+) -> RunRecord:
+    """Check ``result`` against the plan's spec and reduce it to a record.
+
+    Every backend's result carries the same ledgers (``decisions``,
+    ``decision_rounds``, ``crashed`` keyed by pid, and ``stats``); only
+    the round count and the simulated time differ by backend.
+    """
+    violations = plan.check(result)
+    decision_rounds = result.decision_rounds
+    crashed = sorted(result.crashed)
     stats = result.stats
     return RunRecord(
         scenario=scenario,
-        backend="ffd",
-        decisions=dict(result.decisions),
-        decision_rounds={pid: 0 for pid in result.decisions},
-        crashed=sorted(result.crashed),
-        f_actual=result.f,
-        rounds_executed=0,
-        last_decision_round=0,
-        messages_sent=stats.messages_sent if stats is not None else 0,
-        bits_sent=stats.bits_sent if stats is not None else 0,
+        backend=plan.algo.backend,
+        decisions=result.decisions,
+        decision_rounds=decision_rounds,
+        crashed=crashed,
+        f_actual=len(crashed),
+        rounds_executed=rounds_executed,
+        last_decision_round=max(decision_rounds.values(), default=0),
+        messages_sent=stats.messages_sent,
+        bits_sent=stats.bits_sent,
         spec_ok=not violations,
         violations=violations,
-        sim_time=result.sim_time,
+        sim_time=sim_time,
         raw=result,
     )

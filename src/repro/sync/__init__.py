@@ -25,7 +25,7 @@ from repro.sync.engine import (
     execute_round,
 )
 from repro.sync.extended import ExtendedSynchronousEngine
-from repro.sync.result import ProcessOutcome, RunResult
+from repro.sync.result import RunResult
 from repro.sync.spec import SpecReport, assert_consensus, check_consensus
 
 __all__ = [
@@ -51,7 +51,6 @@ __all__ = [
     "SynchronousEngine",
     "execute_round",
     "ExtendedSynchronousEngine",
-    "ProcessOutcome",
     "RunResult",
     "SpecReport",
     "assert_consensus",

@@ -59,8 +59,7 @@ class SendPlan:
     Treat instances as immutable — :data:`NO_SEND` in particular is one
     shared object.  Not ``frozen``: flooding algorithms build ``n`` plans
     per round and a frozen dataclass pays ``object.__setattr__`` per
-    field on every construction (same trade as
-    :class:`~repro.sync.result.ProcessOutcome`).
+    field on every construction.
     """
 
     data: Mapping[int, Any] = field(default_factory=dict)
@@ -133,8 +132,7 @@ class RoundInbox:
     Treat instances as immutable.  The class is not ``frozen`` because a
     frozen dataclass pays an ``object.__setattr__`` per field on every
     construction and engines build one inbox per hearing receiver per
-    round on the benchmark hot path (same trade as
-    :class:`~repro.sync.result.ProcessOutcome`).
+    round on the benchmark hot path.
     """
 
     data: Mapping[int, Any] = field(default_factory=dict)
@@ -329,23 +327,21 @@ class VectorAlgorithm(abc.ABC):
         """
         return None
 
-    #: Refill capability advertisement: tables that implement
-    #: :meth:`refill` set this True, letting a leased engine skip the
-    #: n-object process factory entirely on same-configuration reruns.
-    supports_refill: bool = False
-
     def refill(self, proposals: Sequence[Any]) -> bool:
         """Rewrite the columns in place for a fresh run with ``proposals``.
 
-        Returns True when the table took the refill (it must then be
-        byte-for-byte equivalent to ``from_processes`` over freshly
-        constructed processes of the same configuration — the refill
-        parity grid in ``tests/scenarios/test_columnar_parity.py`` pins
-        this).  Returns False when ``from_processes`` would have declined
-        the new proposals (ambiguous value order) — the caller then falls
-        back to the factory + reset path, which re-detects the stepping
-        mode.  Configuration-shaped state (``n``, TruncatedCRW's ``k``,
+        A taken refill lets a leased engine skip the n-object process
+        factory entirely on same-configuration reruns.  Returns True when
+        the table took the refill (it must then be byte-for-byte
+        equivalent to ``from_processes`` over freshly constructed
+        processes of the same configuration — the refill parity grid in
+        ``tests/scenarios/test_columnar_parity.py`` pins this).  Returns
+        False when ``from_processes`` would have declined the new
+        proposals (ambiguous value order) — the caller then falls back to
+        the factory + reset path, which re-detects the stepping mode.
+        Configuration-shaped state (``n``, TruncatedCRW's ``k``,
         destination tuples) is fixed across a lease and must not change.
+        The default declines every refill.
         """
         return False
 

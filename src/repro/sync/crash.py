@@ -68,8 +68,8 @@ class CrashEvent:
     is clamped to the planned sequence length.
 
     Treat instances as immutable (adversaries build one per crash per
-    run; not ``frozen`` for the same construction-cost reason as
-    :class:`~repro.sync.result.ProcessOutcome`).
+    run; not ``frozen`` because a frozen dataclass pays an
+    ``object.__setattr__`` per field on every construction).
     """
 
     pid: int

@@ -79,7 +79,7 @@ from repro.sync.api import (
     vector_table_for,
 )
 from repro.sync.crash import CrashEvent, CrashPoint, CrashSchedule, ResolvedCrash
-from repro.sync.result import ProcessOutcome, RunResult
+from repro.sync.result import RunResult
 from repro.util.rng import RandomSource
 from repro.util.trace import Trace
 
@@ -770,14 +770,13 @@ class SynchronousEngine:
         """Rearm for a fresh run **without** a new process table.
 
         The factory-free sibling of :meth:`reset`: when the engine steps
-        through a vector table that advertises ``refill``
-        (:attr:`~repro.sync.api.VectorAlgorithm.supports_refill`), the
-        table's columns are rewritten in place from ``proposals`` and the
+        through a vector table whose
+        :meth:`~repro.sync.api.VectorAlgorithm.refill` takes the
+        proposals, the table's columns are rewritten in place and the
         per-run state is re-armed — no ``n``-object process construction,
         no table rebuild.  Returns False (taking no action) when the
-        engine has no refillable table or the table declines the
-        proposals; the caller then falls back to the factory +
-        :meth:`reset` path.
+        engine has no vector table or the table declines the proposals;
+        the caller then falls back to the factory + :meth:`reset` path.
 
         While stepping through the table, the table is the authoritative copy of
         algorithm state, so the retained process objects only serve as
@@ -787,7 +786,7 @@ class SynchronousEngine:
         (pinned by ``tests/scenarios/test_columnar_parity.py``).
         """
         table = self._vtable
-        if table is None or not table.supports_refill:
+        if table is None:
             return False
         if len(proposals) != self.n:
             raise ConfigurationError(
@@ -814,21 +813,6 @@ class SynchronousEngine:
     def active_pids(self) -> set[int]:
         """Processes still alive and undecided."""
         return set(self._active)
-
-    @property
-    def decisions(self) -> dict[int, Any]:
-        """pid → decided value, as recorded by the engine's own ledger."""
-        return dict(self._decisions)
-
-    @property
-    def decision_rounds(self) -> dict[int, int]:
-        """pid → round in which the decision landed."""
-        return dict(self._decided_round)
-
-    @property
-    def crashed_rounds(self) -> dict[int, int]:
-        """pid → round in which the process crashed."""
-        return dict(self._crashed_round)
 
     def step(self) -> RoundOutcome:
         """Execute one round; mutates engine and process state."""
@@ -927,32 +911,21 @@ class SynchronousEngine:
                     self._active_order.remove(pid)
 
     def result(self) -> RunResult:
-        """Materialize the current :class:`~repro.sync.result.RunResult`."""
-        outcomes: dict[int, ProcessOutcome] = {}
-        # Decision values/rounds and crash rounds come from the engine's own
-        # ledgers (identical in per-process and vector mode) rather than
-        # from process attributes — no property hops over n processes.
-        decisions = self._decisions
-        decided_round = self._decided_round
-        crashed_round = self._crashed_round
-        for pid in self.procs:
-            decided = pid in decisions
-            # Positional construction: keyword passing costs ~40% more and
-            # this loop builds n outcomes per run on the benchmark path.
-            outcomes[pid] = ProcessOutcome(
-                pid,
-                self._proposals[pid],
-                decided,
-                decisions[pid] if decided else None,
-                decided_round.get(pid, 0),
-                pid in crashed_round,
-                crashed_round.get(pid, 0),
-            )
+        """Materialize the current :class:`~repro.sync.result.RunResult`.
+
+        The result holds copies of the engine's own ledgers (identical in
+        per-process and vector mode): C-level dict copies, no walk over
+        the n processes, and no aliasing of state a later refill or step
+        rewrites.
+        """
         return RunResult(
             n=self.n,
             t=self.t,
             model=self.model_name,
-            outcomes=outcomes,
+            proposals=dict(self._proposals),
+            decisions=dict(self._decisions),
+            decision_rounds=dict(self._decided_round),
+            crashed=dict(self._crashed_round),
             rounds_executed=self._round,
             completed=not self._active,
             stats=self.stats,

@@ -1,54 +1,42 @@
-"""Run results for synchronous executions."""
+"""Run results for synchronous executions.
+
+A :class:`RunResult` *is* the engine's ledgers: who proposed what, who
+decided what and in which round, who crashed in which round.  The
+continuous-time results (:class:`~repro.asyncsim.runner.AsyncRunResult`,
+:class:`~repro.ffd.consensus.FFDRunResult`) carry the same four ledgers,
+which is what lets one checker (:func:`repro.sync.spec.check_consensus`)
+serve every backend.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Mapping
+from dataclasses import dataclass
+from typing import Any
 
 from repro.net.accounting import MessageStats
 from repro.util.trace import Trace
 
-__all__ = ["ProcessOutcome", "RunResult"]
-
-
-@dataclass(slots=True, unsafe_hash=True)
-class ProcessOutcome:
-    """Final state of one process after a run.
-
-    ``decided_round`` / ``crashed_round`` are 0 when the corresponding event
-    did not happen.  A process may have *both* a decision and a later crash
-    only in the degenerate sense of deciding then halting — halting after a
-    decision is normal termination, not recorded as a crash.
-
-    Treat instances as immutable.  The class is not ``frozen`` because a
-    frozen dataclass pays an ``object.__setattr__`` per field on every
-    construction, and ``result()`` builds ``n`` of these per run on the
-    benchmark hot path; ``unsafe_hash`` keeps the by-value hashing frozen
-    used to provide.
-    """
-
-    pid: int
-    proposal: Any
-    decided: bool
-    decision: Any
-    decided_round: int
-    crashed: bool
-    crashed_round: int
-
-    @property
-    def correct(self) -> bool:
-        """A process is *correct in the run* iff it never crashed."""
-        return not self.crashed
+__all__ = ["RunResult"]
 
 
 @dataclass(slots=True)
 class RunResult:
-    """Everything observable about one synchronous run."""
+    """Everything observable about one synchronous run.
+
+    ``decisions`` and ``decision_rounds`` hold the processes that decided,
+    in the order they decided; ``crashed`` maps each crashed pid to its
+    crash round.  Halting after a decision is normal termination, not a
+    crash, so the engines record a pid in ``decisions`` or ``crashed``
+    (or neither, when the round budget ran out first), never both.
+    """
 
     n: int
     t: int
     model: str  # "classic" | "extended"
-    outcomes: dict[int, ProcessOutcome]
+    proposals: dict[int, Any]  # pid -> proposed value, every pid
+    decisions: dict[int, Any]  # pid -> decided value
+    decision_rounds: dict[int, int]  # pid -> round of decision
+    crashed: dict[int, int]  # pid -> crash round
     rounds_executed: int
     completed: bool  # False iff max_rounds was hit with live undecided processes
     stats: MessageStats
@@ -59,43 +47,23 @@ class RunResult:
     @property
     def f(self) -> int:
         """Actual number of crashes in the run (the paper's ``f``)."""
-        return sum(1 for o in self.outcomes.values() if o.crashed)
-
-    @property
-    def proposals(self) -> dict[int, Any]:
-        """pid → proposed value."""
-        return {pid: o.proposal for pid, o in self.outcomes.items()}
-
-    @property
-    def decisions(self) -> dict[int, Any]:
-        """pid → decided value, for the processes that decided."""
-        return {pid: o.decision for pid, o in self.outcomes.items() if o.decided}
-
-    @property
-    def decision_rounds(self) -> dict[int, int]:
-        """pid → round of decision, for the processes that decided."""
-        return {pid: o.decided_round for pid, o in self.outcomes.items() if o.decided}
-
-    @property
-    def correct_pids(self) -> list[int]:
-        """Ids of processes that never crashed."""
-        return sorted(pid for pid, o in self.outcomes.items() if o.correct)
+        return len(self.crashed)
 
     @property
     def crashed_pids(self) -> list[int]:
         """Ids of processes that crashed."""
-        return sorted(pid for pid, o in self.outcomes.items() if o.crashed)
+        return sorted(self.crashed)
 
     @property
     def last_decision_round(self) -> int:
         """Largest decision round over all deciders (0 if nobody decided)."""
-        rounds = self.decision_rounds
-        return max(rounds.values()) if rounds else 0
+        return max(self.decision_rounds.values(), default=0)
 
     def summary(self) -> str:
         """One-line human summary (used in spec-violation messages)."""
         return (
             f"{self.model} run n={self.n} t={self.t} f={self.f} "
             f"rounds={self.rounds_executed} completed={self.completed} "
-            f"decisions={self.decisions} crashed={self.crashed_pids}"
+            f"decisions={dict(sorted(self.decisions.items()))} "
+            f"crashed={self.crashed_pids}"
         )

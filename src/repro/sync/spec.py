@@ -1,4 +1,4 @@
-"""Consensus specification checkers.
+"""The consensus specification, written once for every backend.
 
 The uniform consensus problem (paper, Section 3.1):
 
@@ -12,20 +12,29 @@ processes; the library checks both so tests can demonstrate why uniformity
 is the interesting property (a faulty process deciding differently violates
 uniform but not plain agreement).
 
-Checkers either return a list of human-readable violation strings
-(:func:`check_consensus`) or raise :class:`~repro.errors.SpecViolationError`
-with the run summary (:func:`assert_consensus`), which is what tests use.
+:func:`check_consensus` reads only the ledgers every result type carries —
+``proposals``, ``decisions``, ``decision_rounds`` and ``crashed`` (keyed by
+pid), plus ``completed`` — so the synchronous engines, the lower-bound
+explorer, the asynchronous runner and the fast-failure-detector run all
+share one checker and one wording.  Violations come in clause order, and
+within a clause in pid order.  :func:`assert_consensus` raises
+:class:`~repro.errors.SpecViolationError` with the run summary instead,
+which is what the synchronous tests use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.errors import SpecViolationError
-from repro.sync.result import RunResult
 
-__all__ = ["SpecReport", "check_consensus", "assert_consensus"]
+if TYPE_CHECKING:
+    from repro.sync.result import RunResult
+
+__all__ = [
+    "SpecReport", "check_consensus", "assert_consensus", "termination_violations",
+]
 
 
 @dataclass(frozen=True, slots=True)
@@ -42,14 +51,34 @@ class SpecReport:
         return not self.violations
 
 
+def termination_violations(result: Any) -> list[str]:
+    """The termination clause alone: one violation per correct process
+    that never decided, in pid order.
+
+    Shared by :func:`check_consensus` and the specs that keep their own
+    validity and agreement clauses (interactive consistency's vectors).
+    """
+    decisions, crashed = result.decisions, result.crashed
+    return [
+        f"termination: correct p{pid} never decided"
+        for pid in sorted(result.proposals)
+        if pid not in decisions and pid not in crashed
+    ]
+
+
 def check_consensus(
-    result: RunResult,
+    result: Any,
     *,
     uniform: bool = True,
     round_bound: int | None = None,
     require_early_stopping: bool = False,
 ) -> SpecReport:
-    """Check ``result`` against the (uniform) consensus specification.
+    """Check ``result``'s ledgers against the (uniform) consensus spec.
+
+    ``result`` is any run result carrying the ledgers named in the module
+    docstring: a synchronous :class:`~repro.sync.result.RunResult`, an
+    :class:`~repro.asyncsim.runner.AsyncRunResult` or an
+    :class:`~repro.ffd.consensus.FFDRunResult`.
 
     Parameters
     ----------
@@ -62,60 +91,42 @@ def check_consensus(
         process decides after round ``f + 1`` where ``f`` is the *actual*
         number of crashes in the run.
     """
-    violations: list[str] = []
-    # One pass over the outcomes collects everything the clauses need; the
-    # RunResult derived-view properties would each re-iterate all n of them.
-    proposals = set()
-    deciders: dict[int, Any] = {}
-    undecided_correct: list[int] = []
-    crashed_count = 0
-    last = 0
-    for pid, o in result.outcomes.items():
-        # Proposals may be unhashable in principle; the library's values are
-        # ints/strs/SizedValue, all hashable.
-        proposals.add(o.proposal)
-        if o.crashed:
-            crashed_count += 1
-        elif not o.decided:
-            undecided_correct.append(pid)
-        if o.decided:
-            deciders[pid] = o.decision
-            if o.decided_round > last:
-                last = o.decided_round
-
     # Termination: every correct process decided, and the run completed.
-    for pid in sorted(undecided_correct):
-        violations.append(f"termination: correct p{pid} never decided")
+    violations = termination_violations(result)
     if not result.completed:
         violations.append(
-            f"termination: run stopped at round budget with live undecided processes"
+            "termination: run stopped at round budget with live undecided processes"
         )
+    decisions, crashed = result.decisions, result.crashed
 
-    # Validity: decided values were proposed.
-    for pid, value in deciders.items():
-        if value not in proposals:
+    # Validity: decided values were proposed.  Proposals may be unhashable
+    # in principle; the library's values are ints/strs/SizedValue, all
+    # hashable (the scenario layer rejects anything else up front).  The
+    # same pid-ordered pass groups the deciders for agreement.
+    proposed = set(result.proposals.values())
+    distinct: dict[Any, list[int]] = {}
+    for pid in sorted(decisions):
+        value = decisions[pid]
+        if value not in proposed:
             violations.append(
                 f"validity: p{pid} decided {value!r} which nobody proposed"
             )
+        if uniform or pid not in crashed:
+            distinct.setdefault(value, []).append(pid)
 
     # Agreement.
-    scope = deciders if uniform else {
-        pid: v for pid, v in deciders.items() if result.outcomes[pid].correct
-    }
-    distinct = {}
-    for pid, value in scope.items():
-        distinct.setdefault(value, []).append(pid)
     if len(distinct) > 1:
         kind = "uniform agreement" if uniform else "agreement"
         detail = "; ".join(
-            f"{value!r} by {sorted(pids)}" for value, pids in sorted(
+            f"{value!r} by {pids}" for value, pids in sorted(
                 distinct.items(), key=lambda kv: str(kv[0])
             )
         )
         violations.append(f"{kind}: conflicting decisions ({detail})")
 
     # Round bounds.
-    es_bound = crashed_count + 1
+    last = max(result.decision_rounds.values(), default=0)
+    es_bound = len(crashed) + 1
     if round_bound is not None and last > round_bound:
         violations.append(
             f"round bound: last decision at round {last} > bound {round_bound}"

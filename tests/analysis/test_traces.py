@@ -89,7 +89,7 @@ class TestPipeliningInvariant:
     def test_detects_a_violating_trace(self):
         # Hand-build a trace with a COMMIT but no DATA on the channel.
         from repro.net.accounting import MessageStats
-        from repro.sync.result import ProcessOutcome, RunResult
+        from repro.sync.result import RunResult
         from repro.util.trace import Trace
 
         trace = Trace()
@@ -98,10 +98,10 @@ class TestPipeliningInvariant:
             n=2,
             t=1,
             model="extended",
-            outcomes={
-                1: ProcessOutcome(1, 0, False, None, 0, False, 0),
-                2: ProcessOutcome(2, 1, False, None, 0, False, 0),
-            },
+            proposals={1: 0, 2: 1},
+            decisions={},
+            decision_rounds={},
+            crashed={},
             rounds_executed=1,
             completed=True,
             stats=MessageStats(),

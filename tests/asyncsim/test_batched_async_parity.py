@@ -28,6 +28,7 @@ from repro.asyncsim.network import (
 )
 from repro.asyncsim.runner import AsyncCrash, AsyncRunner
 from repro.errors import ConfigurationError
+from repro.sync.spec import check_consensus
 from repro.util.rng import RandomSource
 
 ALGORITHMS = {
@@ -142,7 +143,7 @@ def test_legacy_custom_delay_model_still_receives_messages():
     runner = AsyncRunner(procs, t=2, delay_model=PayloadDelay(), rng=RandomSource(3))
     assert runner._table is None  # pooling (and thus batching) stays off
     result = runner.run()
-    assert result.check_consensus() == []
+    assert check_consensus(result).violations == ()
 
 
 def test_per_message_delay_model_falls_back_to_objects():
@@ -159,7 +160,7 @@ def test_per_message_delay_model_falls_back_to_objects():
     )
     assert runner._table is None  # table unavailable without pooling
     result = runner.run()
-    assert result.check_consensus() == []
+    assert check_consensus(result).violations == ()
 
 
 def test_mixed_process_types_fall_back():

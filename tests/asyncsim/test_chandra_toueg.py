@@ -11,6 +11,7 @@ from repro.asyncsim.failure_detector import DetectorSpec
 from repro.asyncsim.network import GstDelay, LogNormalDelay
 from repro.asyncsim.runner import AsyncCrash, AsyncRunner
 from repro.errors import ConfigurationError
+from repro.sync.spec import check_consensus
 from repro.util.rng import RandomSource
 
 
@@ -51,7 +52,7 @@ class TestConstruction:
 class TestFailureFree:
     def test_decides_first_coordinator_pick(self):
         result = run_ct(5, t=2)
-        assert result.check_consensus() == []
+        assert check_consensus(result).violations == ()
         # Round 1, all timestamps 0: the max-ts pick is among the first
         # majority of estimates to arrive; any proposal is valid, but all
         # deciders must agree.
@@ -65,12 +66,12 @@ class TestFailureFree:
 class TestCrashes:
     def test_dead_first_coordinator(self):
         result = run_ct(5, t=2, crashes=[AsyncCrash(1, 0.0)])
-        assert result.check_consensus() == []
+        assert check_consensus(result).violations == ()
         assert 1 not in result.decisions
 
     def test_coordinator_cascade(self):
         result = run_ct(7, t=3, crashes=[AsyncCrash(pid, 0.0) for pid in (1, 2, 3)])
-        assert result.check_consensus() == []
+        assert check_consensus(result).violations == ()
         # p4 is the first live coordinator; decision = its round-4 pick.
         assert set(result.decisions.values()) <= {104, 105, 106, 107}
 
@@ -84,7 +85,7 @@ class TestCrashes:
             delay_model=LogNormalDelay(mu=0.0, sigma=0.8),
             seed=11,
         )
-        assert result.check_consensus() == []
+        assert check_consensus(result).violations == ()
 
 
 class TestIndulgence:
@@ -102,7 +103,7 @@ class TestIndulgence:
             delay_model=GstDelay(gst=25.0, wild=6.0, bound=1.0),
             seed=3,
         )
-        assert result.check_consensus() == []
+        assert check_consensus(result).violations == ()
 
     @settings(max_examples=30, deadline=None)
     @given(data=st.data())
@@ -132,7 +133,7 @@ class TestIndulgence:
             detector_spec=spec,
             seed=seed,
         )
-        assert result.check_consensus() == [], result.decisions
+        assert check_consensus(result).violations == (), result.decisions
 
 
 class TestBridgeComparison:
@@ -152,7 +153,7 @@ class TestBridgeComparison:
             detector_spec=DetectorSpec(detection_latency=1.0),
             rng=RandomSource(1),
         ).run()
-        assert ct.check_consensus() == []
-        assert mr.check_consensus() == []
+        assert check_consensus(ct).violations == ()
+        assert check_consensus(mr).violations == ()
         assert len(set(ct.decisions.values())) == 1
         assert len(set(mr.decisions.values())) == 1

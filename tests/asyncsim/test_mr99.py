@@ -11,6 +11,7 @@ from repro.asyncsim.mr99 import BOT, MR99Consensus
 from repro.asyncsim.network import GstDelay, LogNormalDelay, UniformDelay
 from repro.asyncsim.runner import AsyncCrash, AsyncRunner
 from repro.errors import ConfigurationError
+from repro.sync.spec import check_consensus
 from repro.util.rng import RandomSource
 
 
@@ -57,7 +58,7 @@ class TestConstruction:
 class TestFailureFree:
     def test_decides_first_coordinator_value(self):
         result = run_mr99(5, t=2)
-        assert result.check_consensus() == []
+        assert check_consensus(result).violations == ()
         assert set(result.decisions.values()) == {101}
 
     def test_single_round_when_detector_accurate(self):
@@ -78,21 +79,21 @@ class TestCrashes:
         # p1 crashes before starting: everyone eventually suspects it,
         # aux = ⊥ in round 1, and round 2's coordinator (p2) decides.
         result = run_mr99(5, t=2, crashes=[AsyncCrash(1, 0.0)])
-        assert result.check_consensus() == []
+        assert check_consensus(result).violations == ()
         assert set(result.decisions.values()) == {102}
 
     def test_cascade_of_dead_coordinators(self):
         result = run_mr99(
             7, t=3, crashes=[AsyncCrash(1, 0.0), AsyncCrash(2, 0.0), AsyncCrash(3, 0.0)]
         )
-        assert result.check_consensus() == []
+        assert check_consensus(result).violations == ()
         assert set(result.decisions.values()) == {104}
         # At most t+1 rounds when crashes are immediate and the FD accurate.
         assert max(result.decision_rounds.values()) <= 4
 
     def test_late_crash_after_decision_harmless(self):
         result = run_mr99(5, t=2, crashes=[AsyncCrash(2, 5000.0)])
-        assert result.check_consensus() == []
+        assert check_consensus(result).violations == ()
 
     def test_decide_flood_unblocks_laggards(self):
         # Crash mid-protocol with slow heavy-tailed delays: the DECIDE flood
@@ -104,7 +105,7 @@ class TestCrashes:
             delay_model=LogNormalDelay(mu=0.5, sigma=1.0),
             seed=9,
         )
-        assert result.check_consensus() == []
+        assert check_consensus(result).violations == ()
 
 
 class TestIndulgence:
@@ -124,7 +125,7 @@ class TestIndulgence:
             delay_model=GstDelay(gst=30.0, wild=10.0, bound=1.0),
             seed=5,
         )
-        assert result.check_consensus() == []
+        assert check_consensus(result).violations == ()
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
@@ -163,7 +164,7 @@ class TestIndulgence:
             detector_spec=spec,
             seed=seed,
         )
-        assert result.check_consensus() == [], result.decisions
+        assert check_consensus(result).violations == (), result.decisions
 
 
 class TestDecideFloodRound:
@@ -214,7 +215,7 @@ class TestDecideFloodRound:
             delay_model=LogNormalDelay(mu=0.5, sigma=1.0),
             seed=9,
         )
-        assert result.check_consensus() == []
+        assert check_consensus(result).violations == ()
         assert len(set(result.decision_rounds.values())) == 1
 
     def test_flood_round_consistency_across_seeds(self):
@@ -233,7 +234,7 @@ class TestDecideFloodRound:
                 detector_spec=spec,
                 seed=seed,
             )
-            assert result.check_consensus() == []
+            assert check_consensus(result).violations == ()
             assert len(set(result.decisions.values())) == 1
             # One decision propagated by the flood: every learner records
             # the originator's round (pre-fix these scenarios produced

@@ -98,7 +98,7 @@ class TestAnalyzeLocking:
         # Under t <= n-1 this needs n crashes and cannot be produced by the
         # engine; analyze_locking still handles hand-built traces of it.
         from repro.net.accounting import MessageStats
-        from repro.sync.result import ProcessOutcome, RunResult
+        from repro.sync.result import RunResult
         from repro.util.trace import Trace
 
         trace = Trace()
@@ -106,12 +106,9 @@ class TestAnalyzeLocking:
         trace.record(1, "crash", 2, point="before_send", data_subset=(), control_prefix=0)
         trace.record(1, "drop.data", 1, dest=2, payload=101)
         trace.record(1, "drop.control", 1, dest=2)
-        outcomes = {
-            1: ProcessOutcome(1, 101, False, None, 0, True, 1),
-            2: ProcessOutcome(2, 102, False, None, 0, True, 1),
-        }
         result = RunResult(
-            n=2, t=1, model="extended", outcomes=outcomes,
+            n=2, t=1, model="extended", proposals={1: 101, 2: 102},
+            decisions={}, decision_rounds={}, crashed={1: 1, 2: 1},
             rounds_executed=1, completed=True, stats=MessageStats(), trace=trace,
         )
         report = analyze_locking(result)

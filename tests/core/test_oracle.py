@@ -109,9 +109,7 @@ class TestDifferential:
 
         assert result.decisions == pred.decisions
         assert result.decision_rounds == pred.decision_rounds
-        assert {
-            pid: o.crashed_round for pid, o in result.outcomes.items() if o.crashed
-        } == pred.crashed_rounds
+        assert result.crashed == pred.crashed_rounds
         assert result.rounds_executed == pred.rounds_executed
         assert result.stats.data_sent == pred.data_sent
         assert result.stats.control_sent == pred.control_sent

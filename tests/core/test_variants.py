@@ -69,7 +69,11 @@ class TestTruncatedCRW:
         )
         result = run(procs, sched, t=2)
         assert result.last_decision_round <= k
-        assert all(o.decided for o in result.outcomes.values() if not o.crashed)
+        assert all(
+            pid in result.decisions
+            for pid in result.proposals
+            if pid not in result.crashed
+        )
 
     def test_correct_when_k_large_enough(self):
         # With k > t the deadline never binds before the real protocol ends.

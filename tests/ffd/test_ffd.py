@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from repro.errors import ConfigurationError
 from repro.ffd.consensus import FastFDConsensus, run_ffd_consensus
 from repro.ffd.timed import TimedCrash, TimedEnvironment, TimedSpec
+from repro.sync.spec import check_consensus
 from repro.util.rng import RandomSource
 
 SPEC = TimedSpec(n=5, D=100.0, d=1.0)
@@ -37,7 +38,7 @@ class TestTimedSpec:
 class TestFailureFree:
     def test_decides_p1_value_at_time_about_D(self):
         result = run_ffd_consensus(SPEC, props(), rng=RandomSource(1))
-        assert result.check_consensus() == []
+        assert check_consensus(result).violations == ()
         assert set(result.decisions.values()) == {101}
         # Fast path: everyone decides by (L-1)d + d + D = d + D.
         assert result.max_decision_time <= SPEC.D + SPEC.d + 1e-9
@@ -55,7 +56,7 @@ class TestCrashCascades:
         # broadcast, slot f+1 broadcasts, everyone decides ~ D + f*d.
         crashes = [TimedCrash(pid, 0.0) for pid in range(1, f + 1)]
         result = run_ffd_consensus(SPEC, props(), crashes, rng=RandomSource(2))
-        assert result.check_consensus() == []
+        assert check_consensus(result).violations == ()
         assert set(result.decisions.values()) == {100 + f + 1}
         bound = f * SPEC.d + SPEC.d + SPEC.D  # (L-1)d + d + D with L = f+1
         assert result.max_decision_time <= bound + 1e-9
@@ -70,7 +71,7 @@ class TestCrashCascades:
         # uniformly.
         crashes = [TimedCrash(1, 0.0, takeover_subset=frozenset({3}))]
         result = run_ffd_consensus(SPEC, props(), crashes, rng=RandomSource(3))
-        assert result.check_consensus() == []
+        assert check_consensus(result).violations == ()
         assert set(result.decisions.values()) == {102}
         assert result.fired_slots == [1, 2]
 
@@ -80,13 +81,13 @@ class TestCrashCascades:
         # fired, so this exercises the deepest fallback).
         crashes = [TimedCrash(1, 0.0, takeover_subset=frozenset())]
         result = run_ffd_consensus(SPEC, props(), crashes, rng=RandomSource(4))
-        assert result.check_consensus() == []
+        assert check_consensus(result).violations == ()
 
     def test_late_crash_after_complete_broadcast(self):
         # p1 broadcasts fully, then dies: everyone still decides 101.
         crashes = [TimedCrash(1, 50.0)]
         result = run_ffd_consensus(SPEC, props(), crashes, rng=RandomSource(5))
-        assert result.check_consensus() == []
+        assert check_consensus(result).violations == ()
         assert set(result.decisions.values()) == {101}
 
     def test_chained_partial_broadcasts(self):
@@ -97,7 +98,7 @@ class TestCrashCascades:
             TimedCrash(2, 0.0, takeover_subset=frozenset({4})),
         ]
         result = run_ffd_consensus(SPEC, props(), crashes, rng=RandomSource(6))
-        assert result.check_consensus() == []
+        assert check_consensus(result).violations == ()
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -125,7 +126,7 @@ class TestCrashCascades:
         result = run_ffd_consensus(
             spec, props(n), crashes, rng=RandomSource(seed)
         )
-        assert result.check_consensus() == [], (
+        assert check_consensus(result).violations == (), (
             result.decisions,
             result.fired_slots,
             result.crashed,

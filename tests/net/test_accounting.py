@@ -42,16 +42,6 @@ class TestMessageStats:
         assert s.data_sent == 1
         assert s.messages_sent == 4
 
-    def test_merge(self):
-        a, b = MessageStats(), MessageStats()
-        a.on_send(_data(8))
-        b.on_send(_control())
-        b.on_deliver(_control())
-        a.merge(b)
-        assert a.messages_sent == 2
-        assert a.control_delivered == 1
-        assert a.bits_sent == 9
-
     def test_str_smoke(self):
         s = MessageStats()
         s.on_send(_data())
@@ -87,12 +77,3 @@ class TestBulkInterface:
                 per_msg.on_deliver(msg)
         bulk.bulk_control(sent=3, delivered=2)
         assert bulk == per_msg
-
-    def test_bulk_merge_roundtrip(self):
-        a, b = MessageStats(), MessageStats()
-        a.bulk_data(2, 16)
-        b.bulk_control(4, 4)
-        a.merge(b)
-        assert a.messages_sent == 6
-        assert a.bits_sent == 20
-        assert a.bits_delivered == 4

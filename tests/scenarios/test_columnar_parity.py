@@ -216,11 +216,15 @@ class TestRefillParity:
         from repro.baselines.floodset import FloodSetConsensus
         from repro.core.crw import CRWConsensus
         from repro.core.variants import SilentProcess
-        from repro.sync.api import _VECTOR_TABLES
+        from repro.sync.api import _VECTOR_TABLES, VectorAlgorithm
 
         def refillable(process_cls):
+            # A table takes refills iff it overrides the declining default.
             factory = _VECTOR_TABLES.get(process_cls)
-            return factory is not None and factory.__self__.supports_refill
+            return (
+                factory is not None
+                and factory.__self__.refill is not VectorAlgorithm.refill
+            )
 
         assert refillable(CRWConsensus)
         assert refillable(FloodSetConsensus)

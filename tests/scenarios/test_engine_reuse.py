@@ -105,13 +105,9 @@ class TestEngineReset:
                 procs(), schedule(seed), t=7, rng=None, trace=False
             ).run()
             assert reused.rounds_executed == fresh.rounds_executed
-            assert {
-                pid: (o.decided, o.decision, o.decided_round, o.crashed)
-                for pid, o in reused.outcomes.items()
-            } == {
-                pid: (o.decided, o.decision, o.decided_round, o.crashed)
-                for pid, o in fresh.outcomes.items()
-            }
+            assert (reused.decisions, reused.decision_rounds, reused.crashed) == (
+                fresh.decisions, fresh.decision_rounds, fresh.crashed
+            )
             assert reused.stats.messages_sent == fresh.stats.messages_sent
             assert reused.stats.bits_sent == fresh.stats.bits_sent
 

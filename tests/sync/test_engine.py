@@ -126,7 +126,7 @@ class TestCrashSemantics:
         engine = ExtendedSynchronousEngine(build(3, rounds=2), sched, t=1)
         result = engine.run()
         assert result.crashed_pids == [1]
-        assert result.outcomes[1].crashed_round == 1
+        assert result.crashed == {1: 1}
         # p2 heard only p3 in round 1.
         assert set(engine.procs[2].inboxes[0].data) == {3}
 
@@ -166,7 +166,7 @@ class TestCrashSemantics:
         assert 1 in engine.procs[2].inboxes[0].control
         # ...but p1 neither computed nor decided.
         assert engine.procs[1].inboxes == []
-        assert not result.outcomes[1].decided
+        assert 1 not in result.decisions
 
     def test_crashing_receiver_gets_nothing(self):
         sched = CrashSchedule([CrashEvent(2, 1, CrashPoint.BEFORE_SEND)])
@@ -199,7 +199,7 @@ class TestCrashSemantics:
         sched = CrashSchedule([CrashEvent(1, 2, CrashPoint.BEFORE_SEND)])
         result = ExtendedSynchronousEngine(procs, sched, t=1).run()
         assert result.f == 0
-        assert result.outcomes[1].decided
+        assert 1 in result.decisions
 
 
 class TestRunBudget:

@@ -53,9 +53,9 @@ def run(procs, schedule, t, *, batched=None, max_rounds=None, seed=7):
     )
     result = engine.run(max_rounds)
     return {
-        "decisions": engine.decisions,
-        "decision_rounds": engine.decision_rounds,
-        "crashed_rounds": engine.crashed_rounds,
+        "decisions": result.decisions,
+        "decision_rounds": result.decision_rounds,
+        "crashed_rounds": result.crashed,
         "rounds": result.rounds_executed,
         "completed": result.completed,
         "messages": result.stats.messages_sent,
