@@ -6,6 +6,7 @@ from repro.asyncsim.failure_detector import DetectorSpec
 from repro.asyncsim.mr99 import MR99Consensus
 from repro.asyncsim.runner import AsyncCrash, AsyncRunner
 from repro.harness.experiments import e5_mr99
+from repro.scenarios import Scenario, execute
 from repro.sync.spec import check_consensus
 from repro.util.rng import RandomSource
 
@@ -48,3 +49,12 @@ def test_e5_kernel_coordinator_cascade(benchmark):
     result = benchmark(kernel)
     assert check_consensus(result).ok
     assert set(result.decisions.values()) == {105}
+
+
+def test_e5_kernel_mr99_const_n32(benchmark):
+    # A constant delay lands every broadcast's deliveries at one instant:
+    # the same-instant fan-out path of the event queue.
+    scenario = Scenario(algorithm="mr99", n=32, f=8, adversary="coordinator-killer",
+                        timing={"delay": "constant", "value": 1.0})
+    record = benchmark(execute, scenario)
+    assert record.spec_ok and record.f_actual == 8

@@ -30,6 +30,15 @@ def test_e8_kernel_crw_n128_cascade(benchmark):
     assert record.last_decision_round == 17
 
 
+def test_e8_kernel_crw_n128_cascade_vector(benchmark):
+    # The cascade with the vector tables required: whole-column stepping
+    # (numpy columns when importable, stdlib ``array`` otherwise).
+    scenario = Scenario(algorithm="crw", n=128, t=127, f=16,
+                        adversary="coordinator-killer")
+    record = benchmark(execute, scenario, batched=True)
+    assert record.last_decision_round == 17
+
+
 def test_e8_kernel_rsm_slots(benchmark):
     def kernel():
         log = ReplicatedLog(16, KVStore, rng=RandomSource(1))

@@ -28,6 +28,7 @@ from bisect import bisect_left, bisect_right
 from typing import Any, Sequence
 
 from repro.core.crw import CRWConsensus, CRWVectorTable, est_column
+from repro.errors import ConfigurationError
 from repro.net.payload import bit_size
 from repro.sync.api import (
     NO_SEND,
@@ -75,6 +76,11 @@ class TruncatedCRW(CRWConsensus):
     __slots__ = ("k",)
 
     def __init__(self, pid: int, n: int, proposal: Any, k: int) -> None:
+        if k < 1:
+            raise ConfigurationError(
+                f"truncated-crw parameter k (the decision deadline round) "
+                f"must be >= 1, got {k}"
+            )
         super().__init__(pid, n, proposal)
         self.k = k
 

@@ -61,6 +61,7 @@ executor; the parity discipline carries over verbatim.
 
 from __future__ import annotations
 
+import math
 import os
 import tempfile
 import time
@@ -384,9 +385,9 @@ class ShardedSweep:
             raise ConfigurationError(f"shards must be >= 1, got {shards}")
         if chunk_size is not None and chunk_size < 1:
             raise ConfigurationError(f"chunk_size must be >= 1, got {chunk_size}")
-        if liveness_timeout is not None and liveness_timeout <= 0:
+        if liveness_timeout is not None and not 0 < liveness_timeout < math.inf:
             raise ConfigurationError(
-                f"liveness_timeout must be > 0, got {liveness_timeout}"
+                f"liveness_timeout must be finite and > 0, got {liveness_timeout}"
             )
         if max_respawns is not None and max_respawns < 0:
             raise ConfigurationError(
@@ -396,9 +397,9 @@ class ShardedSweep:
             raise ConfigurationError(
                 f"max_shard_retries must be >= 0, got {max_shard_retries}"
             )
-        if retry_backoff_s < 0:
+        if not 0 <= retry_backoff_s < math.inf:
             raise ConfigurationError(
-                f"retry_backoff_s must be >= 0, got {retry_backoff_s}"
+                f"retry_backoff_s must be finite and >= 0, got {retry_backoff_s}"
             )
         self.processes = processes
         self.shards = shards

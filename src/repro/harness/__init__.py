@@ -1,4 +1,4 @@
-"""Experiment harness: experiment definitions, reports, perf gate, CLI."""
+"""Experiment harness: experiment definitions, reports, CLI."""
 
 from repro.harness.experiments import ALL_EXPERIMENTS, ExperimentResult
 

@@ -8,8 +8,6 @@ Subcommands
                     (work-stealing fabric, shard directory), with resume
 ``atlas summarize`` merge-on-read tradeoff tables over a sharded sweep
                     directory (streaming; ``--out`` writes the artifact)
-``bench``           perf-gate kernels: measure / ``--check-against`` /
-                    ``--write-baseline`` (wraps ``benchmarks/bench_perf_gate.py``)
 ``service run``     the consensus service: stream client commands through
                     leader-rotating log slots under optional ``--chaos``
                     kill storms; reports throughput, p50/p99 latency, and
@@ -339,20 +337,6 @@ def _cmd_atlas_summarize(args: argparse.Namespace) -> int:
     return 0 if all(row["spec_ok"] for row in doc["rows"]) else 1
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.harness.bench import main as bench_main
-
-    argv = []
-    if args.quick:
-        argv.append("--quick")
-    if args.write_baseline is not None:
-        argv += ["--write-baseline", args.write_baseline]
-    if args.check_against is not None:
-        argv += ["--check-against", args.check_against]
-    argv += ["--tolerance", str(args.tolerance)]
-    return bench_main(argv)
-
-
 def _cmd_service_run(args: argparse.Namespace) -> int:
     from repro.fabric.faults import ServiceFaultPlan
     from repro.service import (
@@ -561,19 +545,6 @@ def build_parser() -> argparse.ArgumentParser:
                       "to in-process draining")
     p_sw.add_argument("--json", action="store_true", help="machine-readable output")
     p_sw.set_defaults(func=_cmd_scenario_sweep)
-
-    p_b = sub.add_parser(
-        "bench",
-        help="measure the perf-gate kernels; optionally write or check a baseline",
-    )
-    p_b.add_argument("--quick", action="store_true", help="small sweep grid (CI smoke)")
-    p_b.add_argument("--write-baseline", default=None, metavar="PATH",
-                     help="write measurements to this JSON baseline file")
-    p_b.add_argument("--check-against", default=None, metavar="BASELINE",
-                     help="exit non-zero on regression vs this baseline JSON")
-    p_b.add_argument("--tolerance", type=float, default=1.25,
-                     help="max allowed score ratio vs baseline (default 1.25)")
-    p_b.set_defaults(func=_cmd_bench)
 
     p_atlas = sub.add_parser(
         "atlas", help="merge-on-read summaries over a sharded sweep directory"

@@ -263,11 +263,11 @@ def _register_builtin_algorithms() -> None:
         factory=lambda n, t, props, params: [
             TruncatedCRW(
                 pid, n, props[pid - 1],
-                k=_number_param(params, "k", t, int, "algorithm 'truncated-crw'"),
+                k=_number_param(params, "k", max(t, 1), int, "algorithm 'truncated-crw'"),
             )
             for pid in range(1, n + 1)
         ],
-        description="ablation: force-decides at round k (params: k, default t)",
+        description="ablation: force-decides at round k (params: k, default max(t, 1))",
         param_keys=frozenset({"k"}),
     ))
     register_algorithm(AlgorithmDef(

@@ -39,6 +39,7 @@ propose queue and the idle branch's next-event search walk only
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
@@ -144,8 +145,10 @@ class ConsensusService:
                 f"unknown machine {machine!r}; available: "
                 f"{', '.join(sorted(MACHINES))}"
             )
-        if round_time <= 0:
-            raise ConfigurationError(f"round_time must be > 0, got {round_time}")
+        if not 0 < round_time < math.inf:
+            raise ConfigurationError(
+                f"round_time must be finite and > 0, got {round_time}"
+            )
         if propose_retry_limit < 1:
             raise ConfigurationError(
                 f"propose_retry_limit must be >= 1, got {propose_retry_limit}"

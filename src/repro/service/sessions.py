@@ -20,6 +20,7 @@ schedules in virtual time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError
@@ -38,8 +39,10 @@ class RetryPolicy:
     max_attempts: int = 8  # total attempts before failing honestly
 
     def __post_init__(self) -> None:
-        if self.timeout <= 0:
-            raise ConfigurationError(f"timeout must be > 0, got {self.timeout}")
+        if not 0 < self.timeout < math.inf:
+            raise ConfigurationError(
+                f"timeout must be finite and > 0, got {self.timeout}"
+            )
         if self.max_attempts < 1:
             raise ConfigurationError(
                 f"max_attempts must be >= 1, got {self.max_attempts}"

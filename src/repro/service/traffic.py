@@ -19,6 +19,7 @@ request ids.  Op streams are deterministic functions of
 from __future__ import annotations
 
 import abc
+import math
 
 from repro.errors import ConfigurationError
 from repro.util.rng import RandomSource
@@ -95,8 +96,10 @@ class ClosedLoopWorkload(Workload):
             raise ConfigurationError(
                 f"need >= 1 request per client, got {requests_per_client}"
             )
-        if think_time < 0:
-            raise ConfigurationError(f"think_time must be >= 0, got {think_time}")
+        if not 0 <= think_time < math.inf:
+            raise ConfigurationError(
+                f"think_time must be finite and >= 0, got {think_time}"
+            )
         self.clients = clients
         self.quota = requests_per_client
         self.machine = machine
@@ -165,8 +168,8 @@ class OpenLoopWorkload(Workload):
             raise ConfigurationError(f"need >= 1 client, got {clients}")
         if requests < 1:
             raise ConfigurationError(f"need >= 1 request, got {requests}")
-        if rate <= 0:
-            raise ConfigurationError(f"rate must be > 0, got {rate}")
+        if not 0 < rate < math.inf:
+            raise ConfigurationError(f"rate must be finite and > 0, got {rate}")
         self.clients = clients
         self.machine = machine
         self.total_requests = requests

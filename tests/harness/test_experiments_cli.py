@@ -148,3 +148,24 @@ class TestCLI:
         )
         assert code == 1
         assert "violating leaves" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [
+        "service run --loop open --rate nan",
+        "service run --loop open --rate inf",
+        "service run --timeout nan --chaos kill:leader,after=2,every=4,count=2",
+        "service run --timeout inf",
+        "service run --round-time nan",
+        "service run --round-time inf",
+        "service run --think-time nan",
+        "service run --think-time inf",
+        "scenario sweep -a crw --n 4 --seeds 2 --executor sharded --jobs 2"
+        " --jsonl {tmp}/shards --liveness-timeout nan",
+        "explore --n 4 --max-crashes 1 --truncate-at -5 --max-rounds 2",
+    ])
+    def test_non_finite_and_out_of_range_inputs_exit_2(self, argv, tmp_path, capsys):
+        # NaN fails every `<= 0` test, so each bound also rejects
+        # non-finite values: nothing may run, hang or write a file.
+        assert main(argv.format(tmp=tmp_path).split()) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert list(tmp_path.iterdir()) == []

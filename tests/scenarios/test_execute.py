@@ -174,7 +174,10 @@ class TestRejections:
         Scenario(algorithm="truncated-crw", n=4, params={"k": float("inf")}),
         Scenario(algorithm="crw", n=4, workload="sized",
                  workload_params={"bits": float("inf")}),
-    ], ids=["k", "alphabet", "bits", "p_one", "k-inf", "bits-inf"])
+        # The deadline is a round number, so k >= 1.
+        Scenario(algorithm="truncated-crw", n=4, params={"k": 0}),
+        Scenario(algorithm="truncated-crw", n=4, params={"k": -5}),
+    ], ids=["k", "alphabet", "bits", "p_one", "k-inf", "bits-inf", "k-zero", "k-negative"])
     def test_non_numeric_numeric_params_rejected(self, scenario):
         with pytest.raises(ConfigurationError, match="parameter"):
             execute(scenario)
