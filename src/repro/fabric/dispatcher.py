@@ -17,13 +17,14 @@
   showed dominated by pickling is near-zero-copy.  Two slots per slab
   let the dispatcher pipeline: a worker computes its next shard while
   the parent drains the previous one.
-* **Persistence** — each worker appends columnar batch lines to *its
-  shard's own file* as it goes (one flush per chunk), so JSONL encoding
-  runs inside the workers, in parallel with compute, instead of
-  serially in the parent.
+* **Persistence** — each worker runs its shard through
+  :func:`~repro.fabric.shardio.run_cells`, the loop the serial executor
+  and the parent's probe run too, appending columnar batch lines to
+  *its shard's own file* as it goes (one flush per chunk), so JSONL
+  encoding runs inside the workers, in parallel with compute.
 * **Resume** — the manifest skips ``"done"`` shards wholesale; a
   partially-written shard re-runs only the cells missing from its file
-  (per-cell torn-tail-healing resume, worker side).
+  (per-cell torn-tail-healing resume inside ``run_cells``).
 * **Supervision** — a dead worker (pipe EOF) or a hung one (no
   result/heartbeat within ``liveness_timeout`` while holding work) is
   killed with terminate→kill escalation, its outstanding shards are
@@ -34,9 +35,13 @@
   after that an attributed failing cell is **quarantined**
   (``quarantine.json`` — :class:`~repro.fabric.manifest.QuarantineLog`)
   and the rest of the shard completes, while an unattributed repeat
-  killer is probed cell-by-cell in the parent to isolate the poison.
-  If the respawn budget runs out, remaining shards drain in-process
-  (serial fallback) — the sweep degrades, it does not raise.
+  killer is probed in the parent, which reruns the shard after
+  quarantining each raising cell.  If the respawn budget runs out,
+  remaining shards drain in-process the same way (serial fallback) —
+  the sweep degrades, it does not raise.  A
+  :class:`~repro.errors.ConfigurationError` is no fault: nothing is
+  retried or quarantined, and the parent raises it after shutting the
+  workers down, as the serial executor does.
 * **Fault injection** — a bound :class:`~repro.fabric.faults.FaultPlan`
   rides the worker spawn args and injects worker death, hangs, poison
   cells, and torn writes at deterministic points, so every recovery
@@ -66,7 +71,7 @@ import os
 import tempfile
 import time
 import traceback
-from collections import deque
+from functools import partial
 from heapq import heappop, heappush
 from itertools import count as _counter
 from multiprocessing import connection as mp_connection
@@ -76,10 +81,15 @@ from typing import Any, Iterable, Sequence
 from repro.errors import ConfigurationError
 from repro.fabric.faults import FaultPlan
 from repro.fabric.manifest import QuarantineLog, ShardManifest, ShardSpec
-from repro.fabric.shardio import append_batch, heal_torn_tail, load_shard_index
+from repro.fabric.shardio import (
+    CellFailure,
+    append_batch,
+    load_shard_index,
+    run_cells,
+)
 from repro.fabric.shm import ScalarSlab
 from repro.fabric.supervisor import Supervisor, WorkerHandle
-from repro.scenarios.execute import EngineLease, execute
+from repro.scenarios.execute import EngineLease
 from repro.scenarios.record import RecordBatch, RunRecord
 from repro.scenarios.scenario import (
     CellColumn,
@@ -100,15 +110,6 @@ _MAX_BACKOFF_S = 2.0
 
 
 # -- worker side -------------------------------------------------------------
-
-
-class _CellFailure(Exception):
-    """A cell raised inside a shard: carries the global index + traceback."""
-
-    def __init__(self, cell: int, tb: str) -> None:
-        super().__init__(f"cell {cell} failed")
-        self.cell = cell
-        self.tb = tb
 
 
 def _shard_chunk_size(cells: int, chunk_size: int | None) -> int:
@@ -134,74 +135,38 @@ def _run_shard(
     torn: bool = False,
     notify: Any = None,
 ) -> tuple[int, int, float, dict[str, list]]:
-    """Execute one shard: per-cell resume, chunked appends, slab publish.
+    """Execute one shard through :func:`run_cells`, then publish the slab.
 
     ``skip`` holds quarantined *global* cell indices — those cells are
     not run, not written, and not published (the parent pads their
     result positions with ``None``).  A cell that raises aborts the
-    shard with :class:`_CellFailure` *after* flushing completed work,
+    shard with :class:`CellFailure` *after* flushing completed work,
     so retries only re-run from the failure onward.
     """
-    if os.path.exists(path):
-        done = load_shard_index(path)
-        heal_torn_tail(path)
-    else:
-        done = {}
     # One validation per configuration, not a ``with_`` per cell; keys
     # are spliced per configuration too, and only for a resumed file.
     column = CellColumn.from_deltas(base_dict, deltas)
-    cells = column.scenarios()
-    keys = column.keys() if done else None
-    flush_every = _shard_chunk_size(len(deltas), chunk_size)
+    flushed = 0
+
+    def write(fh, records: list[RunRecord], positions: list[int]) -> None:
+        nonlocal flushed
+        append_batch(fh, records, base_dict, [deltas[p] for p in positions])
+        flushed += 1
+        if torn and flushed == 1:
+            # Injected torn write: leave a half line (no newline) and
+            # die — the retry must heal the tail before resuming.
+            fh.write('{"torn"')
+            fh.flush()
+            os._exit(_FAULT_EXIT)
+        if notify is not None:
+            notify()
+
     started = time.perf_counter()
-    records: list[RunRecord] = []
-    buffer: list[RunRecord] = []
-    buffer_deltas: list[dict[str, Any]] = []
-    executed = resumed = flushed = 0
-    with open(path, "a", encoding="utf-8") as fh:
-
-        def flush() -> None:
-            nonlocal flushed
-            if not buffer:
-                return
-            append_batch(fh, buffer, base_dict, buffer_deltas)
-            buffer.clear()
-            buffer_deltas.clear()
-            flushed += 1
-            if torn and flushed == 1:
-                # Injected torn write: leave a half line (no newline) and
-                # die — the retry must heal the tail before resuming.
-                fh.write('{"torn"')
-                fh.flush()
-                os._exit(_FAULT_EXIT)
-            if notify is not None:
-                notify()
-
-        for offset, delta in enumerate(deltas):
-            index = start + offset
-            if index in skip:
-                continue
-            cell = cells[offset]
-            if keys is not None:  # resume: lookups only when the file had records
-                prior = done.get(keys[offset])
-                if prior is not None:
-                    records.append(prior)
-                    resumed += 1
-                    continue
-            try:
-                if faults is not None:
-                    faults.check_cell(index, attempt)
-                record = execute(cell, trace=False, lease=lease).normalized()
-            except Exception:
-                flush()  # persist finished cells before reporting the poison
-                raise _CellFailure(index, traceback.format_exc()) from None
-            records.append(record)
-            buffer.append(record)
-            buffer_deltas.append(delta)
-            executed += 1
-            if len(buffer) >= flush_every:
-                flush()
-        flush()
+    records, executed = run_cells(
+        path, column.scenarios(), column.keys, lease, write,
+        _shard_chunk_size(len(deltas), chunk_size), start=start, skip=skip,
+        check=None if faults is None else partial(faults.check_cell, attempt=attempt),
+    )
     elapsed = time.perf_counter() - started
     batch = RecordBatch.from_records(records)
     slab.write(slot, batch)
@@ -214,7 +179,7 @@ def _run_shard(
         "crashed": batch.crashed,
         "violations": batch.violations,
     }
-    return executed, resumed, elapsed, objects
+    return executed, len(records) - executed, elapsed, objects
 
 
 def _worker_main(
@@ -232,9 +197,11 @@ def _worker_main(
 ) -> None:
     """Long-lived shard worker: recv shard tasks until ``stop`` (or EOF).
 
-    A failing shard no longer kills the worker: the failure (with the
-    guilty cell's global index when attributable) goes back over the
-    pipe and the worker takes the next task on a fresh engine lease.
+    A failing shard does not kill the worker: the failure (with the
+    guilty cell's global index when attributable; a
+    :class:`~repro.errors.ConfigurationError` as a ``"config"`` message)
+    goes back over the pipe and the worker takes the next task on a
+    fresh engine lease.
     ``faults`` (already bound) injects death/hang/torn/poison at the
     documented points; ``heartbeat`` adds an ``("hb", shard_id)`` pipe
     message per flushed chunk for the parent's liveness clock.
@@ -276,9 +243,13 @@ def _worker_main(
                     start=start, skip=frozenset(skip), attempt=attempt,
                     faults=faults, torn=torn, notify=notify,
                 )
-            except _CellFailure as fail:
+            except CellFailure as fail:
                 conn.send(("error", shard_id, slot, fail.cell, fail.tb))
                 lease = EngineLease()  # drop possibly mid-run engine state
+                continue
+            except ConfigurationError as exc:
+                conn.send(("config", shard_id, slot, str(exc)))
+                lease = EngineLease()
                 continue
             except Exception:
                 conn.send(("error", shard_id, slot, None, traceback.format_exc()))
@@ -600,7 +571,6 @@ class ShardedSweep:
         failures: dict[int, int] = {}  # shard id → failures, cumulative
         delayed: list[tuple[float, int, ShardSpec]] = []  # backoff heap
         seq = _counter()  # heap tiebreak (ShardSpec is not orderable)
-        probe_lease: list[EngineLease] = []  # parent-side lease, lazy
 
         def next_spec(handle: WorkerHandle) -> tuple[ShardSpec | None, bool]:
             if handle.queue:
@@ -679,55 +649,44 @@ class ShardedSweep:
         def probe_shard(spec: ShardSpec) -> None:
             """Drain one shard in the parent, isolating poison per cell.
 
-            Degenerate bisection: cells resume per-cell from the shard
-            file, so probing one at a time runs each surviving cell at
-            most once while pinning blame exactly.  Used when a shard
-            exhausts retries without an attributed cell, and as the
-            serial fallback when no workers are left.
+            The shard runs through :func:`run_cells` again after each
+            raising cell is quarantined; the cells finished so far
+            resume from its file, so each surviving cell runs once
+            while blame lands on exactly the cells that raise.  Used
+            when a shard exhausts retries without an attributed cell,
+            and as the serial fallback when no workers are left.
             """
-            path = os.path.join(directory, spec.file)
-            if os.path.exists(path):
-                done = load_shard_index(path)
-                heal_torn_tail(path)
-            else:
-                done = {}
-            skip = skips.get(spec.id, set())
             attempt = max(attempts.get(spec.id, 0), max_retries)
-            shard_records: list[RunRecord] = []
-            executed = resumed = 0
-            started = time.perf_counter()
+            check = None if faults is None else partial(
+                faults.check_cell, attempt=attempt
+            )
             deltas = scenario_deltas(base, cells[spec.start:spec.stop])
-            with open(path, "a", encoding="utf-8") as fh:
-                for i in range(spec.start, spec.stop):
-                    if i in skip:
-                        continue
-                    prior = done.get(keys[i]) if done else None
-                    if prior is not None:
-                        shard_records.append(prior)
-                        resumed += 1
-                        continue
-                    if not probe_lease:
-                        probe_lease.append(EngineLease())
-                    try:
-                        if faults is not None:
-                            faults.check_cell(i, attempt)
-                        record = execute(
-                            cells[i], trace=False, lease=probe_lease[0]
-                        ).normalized()
-                    except Exception:
-                        quarantine_cell(
-                            spec, i, traceback.format_exc(),
-                            attempts.get(spec.id, 0) + 1,
-                        )
-                        skip = skips[spec.id]
-                        continue
-                    append_batch(
-                        fh, [record], base_dict, [deltas[i - spec.start]]
+            executed = 0
+
+            def write(fh, records: list[RunRecord], positions: list[int]) -> None:
+                nonlocal executed
+                append_batch(fh, records, base_dict, [deltas[p] for p in positions])
+                executed += len(records)  # each fresh record is written once
+
+            started = time.perf_counter()
+            while True:
+                try:
+                    shard_records, _ = run_cells(
+                        os.path.join(directory, spec.file),
+                        cells[spec.start:spec.stop],
+                        lambda: keys[spec.start:spec.stop],
+                        EngineLease(),  # fresh: a raise may leave engine state
+                        write, _shard_chunk_size(spec.cells, self.chunk_size),
+                        start=spec.start, skip=skips.get(spec.id, ()),
+                        check=check,
                     )
-                    shard_records.append(record)
-                    executed += 1
+                    break
+                except CellFailure as fail:
+                    quarantine_cell(
+                        spec, fail.cell, fail.tb, attempts.get(spec.id, 0) + 1
+                    )
             finish_shard(
-                spec, shard_records, executed, resumed,
+                spec, shard_records, executed, len(shard_records) - executed,
                 time.perf_counter() - started, None, False,
             )
 
@@ -799,12 +758,21 @@ class ShardedSweep:
                     try:
                         msg = conn.recv()
                     except (EOFError, OSError):
+                        msg = None
+                    if msg is None:
+                        # Reap outside the handler: a replacement forked
+                        # inside it would carry this EOFError as the
+                        # context of every traceback it quarantines.
                         reap(handle, "worker died (pipe closed mid-shard)")
                         continue
                     handle.last_seen = time.monotonic()
                     kind = msg[0]
                     if kind == "hb":
                         continue
+                    if kind == "config":
+                        # A bad configuration is no fault to retry or
+                        # quarantine: it ends the sweep, as in serial.
+                        raise ConfigurationError(msg[3])
                     if kind == "error":
                         _, shard_id, slot, cell, tb = msg
                         spec, _stolen = outstanding.pop((handle.index, slot))

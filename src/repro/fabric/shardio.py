@@ -1,12 +1,14 @@
-"""Per-shard columnar JSONL files: append, stream-read, torn-tail healing.
+"""Per-shard columnar JSONL files: the one write loop, append,
+stream-read, torn-tail healing.
 
 Each shard owns one JSONL file in the sweep directory, written by
 whichever worker executes the shard; the serial executor's single sweep
-file uses the same format and the same functions.  The layout is
-columnar — one ``{"batch": <RecordBatch payload>}`` line per flushed
-chunk — and the reader also accepts the retired writer's
-one-record-per-line ``{"record": <row>}`` layout, so old files still
-resume.
+file uses the same format.  Every cell reaches a file through
+:func:`run_cells`, the one loop the serial executor, the shard workers
+and the dispatcher's probe all run.  The layout is columnar — one
+``{"batch": <RecordBatch payload>}`` line per flushed chunk — and the
+reader also accepts the retired writer's one-record-per-line
+``{"record": <row>}`` layout, so old files still resume.
 
 Durability discipline:
 
@@ -41,19 +43,126 @@ from __future__ import annotations
 
 import json
 import os
-from typing import IO, Iterator
+import time
+import traceback
+from contextlib import nullcontext
+from typing import IO, Callable, Container, Iterator, Sequence
 
 from repro.errors import ConfigurationError
+from repro.scenarios.execute import EngineLease, execute
 from repro.scenarios.record import RecordBatch, RunRecord
-from repro.scenarios.scenario import CellColumn, scenario_key
+from repro.scenarios.scenario import CellColumn, Scenario, scenario_key
 
 __all__ = [
+    "CellFailure",
     "append_batch",
     "heal_torn_tail",
     "iter_shard_lines",
     "iter_shard_records",
     "load_shard_index",
+    "run_cells",
 ]
+
+
+class CellFailure(Exception):
+    """A cell raised inside :func:`run_cells`: the cell's index (counted
+    from the caller's ``start``), the traceback the quarantine log keeps,
+    and the exception itself."""
+
+    def __init__(self, cell: int, tb: str, error: Exception) -> None:
+        super().__init__(f"cell {cell} failed")
+        self.cell = cell
+        self.tb = tb
+        self.error = error
+
+
+def run_cells(
+    path: str | None,
+    cells: Sequence[Scenario],
+    keys: Callable[[], Sequence[str]],
+    lease: EngineLease,
+    write: Callable[[IO[str] | None, list[RunRecord], list[int]], None],
+    chunk_size: int,
+    *,
+    interval: float | None = None,
+    start: int = 0,
+    skip: Container[int] = (),
+    check: Callable[[int], None] | None = None,
+) -> tuple[list[RunRecord], int]:
+    """Run ``cells`` into the shard file ``path``; return ``(records, executed)``.
+
+    Loads the resume index and heals the torn tail first (``keys()`` is
+    called only when the file held records).  Cells whose index,
+    ``start`` + position, is in ``skip`` are left out, cells in the file
+    resume, and the rest run through ``lease`` after ``check(index)``.
+    Every ``chunk_size`` fresh records — and, with ``interval``, at
+    least every ``interval`` seconds — go to ``write(fh, records,
+    positions)``; ``fh`` is None when ``path`` is.  ``records`` are the
+    resumed and fresh records in cell order.
+
+    A cell that raises flushes the finished cells first.  A
+    :class:`ConfigurationError` then propagates as is — a bad
+    configuration ends the sweep on every path — and any other
+    exception becomes a :class:`CellFailure`.
+    """
+    done: dict[str, RunRecord] = {}
+    if path is not None:
+        done = load_shard_index(path)
+        heal_torn_tail(path)
+    # Keys cost a splice per cell; a fresh file needs none.
+    cell_keys = keys() if done else None
+    records: list[RunRecord] = []
+    buffer: list[RunRecord] = []
+    positions: list[int] = []
+    executed = 0
+
+    def flush() -> None:
+        if buffer:
+            try:
+                write(fh, buffer, positions)
+            finally:
+                buffer.clear()
+                positions.clear()
+
+    last_flush = time.monotonic()
+    with open(path, "a", encoding="utf-8") if path is not None else nullcontext() as fh:
+        try:
+            for position, cell in enumerate(cells):
+                index = start + position
+                if index in skip:
+                    continue
+                if cell_keys is not None:
+                    prior = done.get(cell_keys[position])
+                    if prior is not None:
+                        records.append(prior)
+                        continue
+                try:
+                    if check is not None:
+                        check(index)
+                    # trace=False pins sweep cells to the engines' fast
+                    # path; per-event traces of thousands of cells would
+                    # be pure overhead (records are byte-identical).
+                    record = execute(cell, trace=False, lease=lease).normalized()
+                except ConfigurationError:
+                    raise
+                except Exception as exc:
+                    raise CellFailure(index, traceback.format_exc(), exc) from None
+                records.append(record)
+                buffer.append(record)
+                positions.append(position)
+                executed += 1
+                # Count-based flushing amortizes write+flush over fast
+                # cells; the time trigger bounds how much work an
+                # interrupted sweep of *slow* cells can lose.
+                if len(buffer) >= chunk_size or (
+                    interval is not None
+                    and time.monotonic() - last_flush >= interval
+                ):
+                    flush()
+                    last_flush = time.monotonic()
+        finally:
+            flush()  # finished cells persist whatever ended the loop
+    return records, executed
 
 
 def append_batch(

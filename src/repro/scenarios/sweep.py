@@ -15,14 +15,20 @@ Both executors persist through :mod:`repro.fabric.shardio`: one
 ``{"batch": <RecordBatch payload>}`` line per flushed chunk, torn tails
 healed before any append, and a per-cell resume index that also decodes
 the retired one-record-per-line ``{"record": ...}`` layout, so old files
-still resume.  With a ``jsonl_path`` every finished record is persisted,
-and a rerun **resumes**: cells whose canonical scenario key already
-appears in the file are loaded instead of re-run.  Lines that do not
-decode (the torn tail of an interrupted sweep, foreign or incompatible
-JSONL) are skipped, and their cells simply re-run.  Serial writes are
-buffered and flushed once per ``chunk_size`` cells, and at least every
+still resume.  Every cell reaches its file through one loop,
+:func:`~repro.fabric.shardio.run_cells`, in the serial executor and in
+the shard workers alike.  With a ``jsonl_path`` every finished record
+is persisted, and a rerun **resumes**: cells whose canonical scenario
+key already appears in the file are loaded instead of re-run.  Lines
+that do not decode (the torn tail of an interrupted sweep, foreign or
+incompatible JSONL) are skipped, and their cells simply re-run.  Serial
+writes are flushed once per ``chunk_size`` cells, and at least every
 :attr:`SweepRunner.FLUSH_INTERVAL_S` seconds, so an interrupted sweep
 of slow cells loses little work.
+
+A cell that raises :class:`~repro.errors.ConfigurationError` ends the
+sweep with that error on both executors.  Any other exception ends a
+serial sweep as it is; the sharded executor retries and quarantines it.
 
 Duplicate cells run once.  Results come back in input order and are
 byte-identical across executors (``tests/scenarios/test_sweep.py``,
@@ -38,7 +44,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence
 
 from repro.errors import ConfigurationError
-from repro.scenarios.execute import EngineLease, execute
+from repro.scenarios.execute import EngineLease
 from repro.scenarios.record import RecordBatch, RunRecord
 from repro.scenarios.registry import ADVERSARIES, ALGORITHMS
 from repro.scenarios.scenario import (
@@ -284,13 +290,12 @@ class SweepRunner:
             f"executor"
         )
 
-    def _flush(self, fh, buffer: list[RunRecord]) -> None:
-        """Persist buffered records as one batch line, then clear the buffer."""
-        if fh is not None and buffer:
+    def _flush(self, fh, records: list[RunRecord]) -> None:
+        """Persist one chunk of finished records as one batch line."""
+        if fh is not None:
             from repro.fabric import shardio
 
-            shardio.append_batch(fh, buffer)
-        buffer.clear()
+            shardio.append_batch(fh, records)
 
     def _run_serial(
         self, cells: list[Scenario], keys: list[str]
@@ -298,43 +303,19 @@ class SweepRunner:
         """Run the unique cells in-process; key → normalized record."""
         from repro.fabric import shardio
 
-        path = self.jsonl_path
-        done = shardio.load_shard_index(path) if path is not None else {}
-        self.resumed = sum(key in done for key in keys)
-        self.executed = 0
-        fh = None
-        if path is not None:
-            shardio.heal_torn_tail(path)
-            fh = open(path, "a", encoding="utf-8")
-        chunk_size = self.chunk_size or 32
-        buffer: list[RunRecord] = []
+        self.executed = self.resumed = 0
         try:
-            last_flush = time.monotonic()
-            lease = EngineLease()  # engine reuse across the whole pass
-            for scenario, key in zip(cells, keys):
-                if key in done:
-                    continue
-                # trace=False pins sweep cells to the engines' fast path;
-                # per-event traces of thousands of cells would be pure
-                # overhead (records are byte-identical either way).
-                record = execute(scenario, trace=False, lease=lease).normalized()
-                done[key] = record
-                buffer.append(record)
-                self.executed += 1
-                # Count-based flushing amortizes write+flush over fast
-                # cells; the time trigger bounds how much work an
-                # interrupted sweep of *slow* cells can lose.
-                if (
-                    len(buffer) >= chunk_size
-                    or time.monotonic() - last_flush >= self.FLUSH_INTERVAL_S
-                ):
-                    self._flush(fh, buffer)
-                    last_flush = time.monotonic()
-        finally:
-            self._flush(fh, buffer)
-            if fh is not None:
-                fh.close()
-        return done
+            records, self.executed = shardio.run_cells(
+                self.jsonl_path, cells, lambda: keys, EngineLease(),
+                lambda fh, chunk, _positions: self._flush(fh, chunk),
+                self.chunk_size or 32, interval=self.FLUSH_INTERVAL_S,
+            )
+        except shardio.CellFailure as fail:
+            error = fail.error
+        else:
+            self.resumed = len(records) - self.executed
+            return dict(zip(keys, records))
+        raise error
 
     def _run_sharded(
         self, cells: list[Scenario], keys: list[str]

@@ -100,6 +100,25 @@ class TestChaosCLI:
         assert code == 2
         assert "sharded" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("executor, target", [
+        ("serial", "s.jsonl"), ("sharded", "shards"),
+    ])
+    def test_bad_configuration_exits_2_on_both_executors(
+        self, executor, target, tmp_path, capsys
+    ):
+        # n=1 is rejected inside each cell: a configuration error, not a
+        # fault, so the sharded executor neither retries nor quarantines.
+        code = main([
+            "scenario", "sweep", "--algorithm", "crw", "--n", "1",
+            "--seeds", "4", "--executor", executor,
+            "--jsonl", str(tmp_path / target),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1
+        assert "need at least 2 processes, got n=1" in err
+        assert not list(tmp_path.rglob("quarantine.json"))
+
 
 class TestAtlasCLI:
     def test_summarize_table_and_artifact(self, shard_dir, tmp_path, capsys):

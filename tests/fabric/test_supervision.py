@@ -18,7 +18,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.fabric import FaultPlan, QuarantineLog, ShardedSweep, ShardManifest
 from repro.fabric.atlas import build_atlas
-from repro.scenarios import SweepRunner, expand_grid
+from repro.scenarios import Scenario, SweepRunner, expand_grid
 
 
 def grid(seeds=12):
@@ -199,6 +199,62 @@ class TestTornWrite:
         assert sweep.resumed > 0
 
 
+class TestUnattributedRepeatKiller:
+    """A shard whose failure names no cell, once retries are spent, is
+    probed in the parent; probed shards report no owning worker.
+
+    The kill comes after one shard, so worker 0 dies holding the second
+    shard it was sent.  With ``after=0`` it may die before the parent's
+    first send; the shard then just goes back on the queue, nothing
+    fails, and the probe is never reached."""
+
+    @pytest.mark.parametrize("spec", ["torn:shard=0", "kill:worker=0,after=1"])
+    def test_probe_in_parent_matches_clean_records(
+        self, cells, clean_records, tmp_path, spec
+    ):
+        d = tmp_path / "shards"
+        sweep = ShardedSweep(
+            cells, directory=d, processes=2, shards=4,
+            faults=FaultPlan.from_spec(spec), max_shard_retries=0,
+        )
+        records = sweep.run()
+        assert_matches_minus_quarantine(records, clean_records)
+        assert sweep.quarantined == 0
+        assert sweep.retries >= 1
+        assert any(s["worker"] is None for s in sweep.shard_stats)
+        assert sweep.executed + sweep.resumed == len(cells)
+        assert not (d / "quarantine.json").exists()
+        manifest = ShardManifest.load(str(d))
+        assert all(s.status == "done" for s in manifest.shards)
+
+
+class TestConfigurationErrorEndsSweep:
+    """A bad configuration is no fault: every path raises it, and nothing
+    is retried or quarantined."""
+
+    BAD = [Scenario(algorithm="crw", n=1, seed=seed) for seed in range(8)]
+
+    def test_serial_executor_raises(self, tmp_path):
+        with pytest.raises(ConfigurationError, match="at least 2 processes"):
+            SweepRunner(self.BAD, jsonl_path=tmp_path / "s.jsonl").run()
+
+    @pytest.mark.parametrize("spec", [None, "kill:after=0"])
+    def test_sharded_executor_raises_without_quarantine(self, tmp_path, spec):
+        # kill:after=0 with no respawns leaves no worker: the parent's
+        # serial drain runs the cells and must raise the same way.
+        d = tmp_path / "shards"
+        sweep = ShardedSweep(
+            self.BAD, directory=d, processes=2, shards=4,
+            faults=FaultPlan.from_spec(spec) if spec else None,
+            max_respawns=0 if spec else None,
+        )
+        with pytest.raises(ConfigurationError, match="at least 2 processes"):
+            sweep.run()
+        assert not (d / "quarantine.json").exists()
+        if spec is None:
+            assert sweep.retries == 0  # raised at once, not retried
+
+
 class TestGracefulDegradation:
     def test_respawns_exhausted_drains_in_process(self, cells, clean_records):
         # Every incarnation-0 worker dies after one shard and the budget
@@ -244,7 +300,11 @@ class TestAcceptance:
         assert_matches_minus_quarantine(records, clean_records, {7})
         assert sweep.quarantined == 1
         assert sweep.respawns >= 1
-        assert QuarantineLog.load(str(d)).cells() == {7}
+        log = QuarantineLog.load(str(d))
+        assert log.cells() == {7}
+        # A replacement worker forked while the parent handled the dead
+        # worker's EOF must not carry that EOFError into the traceback.
+        assert "EOFError" not in log.entries[7]["error"]
         # And the directory still reduces to an honest atlas.
         doc = build_atlas(d)
         assert doc["covered_cells"] == len(cells) - 1

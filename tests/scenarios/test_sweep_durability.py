@@ -133,3 +133,32 @@ class TestKilledMidChunk:
         assert resumed.resumed == survived
         assert resumed.executed == len(cells) - survived
         assert [r.to_dict() for r in records] == uninterrupted
+
+
+class TestCellRaises:
+    def test_serial_raises_the_cells_own_error_after_flushing(
+        self, cells, uninterrupted, tmp_path, monkeypatch
+    ):
+        # The loop flushes the finished cells before the error leaves it,
+        # so the rerun resumes them even though no chunk filled up.
+        from repro.fabric import shardio
+
+        real, seen = shardio.execute, []
+
+        def execute(scenario, **kwargs):
+            seen.append(scenario)
+            if len(seen) == 6:
+                raise RuntimeError("cell 5 broke")
+            return real(scenario, **kwargs)
+
+        monkeypatch.setattr(shardio, "execute", execute)
+        path = tmp_path / "raised.jsonl"
+        with pytest.raises(RuntimeError, match="cell 5 broke"):
+            SweepRunner(cells, jsonl_path=path, chunk_size=32).run()
+        assert _records_in(path) == 5
+
+        monkeypatch.setattr(shardio, "execute", real)
+        resumed = SweepRunner(cells, jsonl_path=path)
+        assert [r.to_dict() for r in resumed.run()] == uninterrupted
+        assert resumed.resumed == 5
+        assert resumed.executed == len(cells) - 5
