@@ -341,16 +341,6 @@ class ChandraTouegTable(AsyncBatchedTable):
 
     # -- state machine -------------------------------------------------------
 
-    def _send(self, sender: int, dest: int, tag: str, payload: Any, r: int) -> None:
-        """Mirror of ``ProcessContext.send`` on the pooled tuple path."""
-        network = self.network
-        if dest == sender:
-            network.queue.schedule(
-                0.0, network._deliver_entry, (0, sender, dest, r, payload, tag)
-            )
-        else:
-            network.send_pooled(sender, dest, r, payload, tag)
-
     def _decide(self, i: int, value: Any, round_no: int) -> None:
         """Mirror of ``_on_decide``: record, mirror back, relay the round on."""
         if self.decided[i]:
@@ -358,7 +348,7 @@ class ChandraTouegTable(AsyncBatchedTable):
         self.decided[i] = True
         self.est[i] = value
         self.procs[i].decide(value, round_no=round_no)
-        self.network.broadcast(i + 1, self.n, "DECIDE", value, round_no, None)
+        self.network.broadcast(i + 1, self.n, "DECIDE", value, round_no)
 
     def _check_lock(self, i: int) -> bool:
         """Step 4 for every round ``p_{i+1}`` coordinated (exact mirror)."""
@@ -389,7 +379,7 @@ class ChandraTouegTable(AsyncBatchedTable):
             # Step 1: ship my estimate to the round's coordinator (once).
             if self.est_sent[i] < r:
                 self.est_sent[i] = r
-                self._send(pid, c, "EST", (self.est[i], self.ts[i]), r)
+                self.network.send(pid, c, r, (self.est[i], self.ts[i]), "EST")
 
             # Coordinator: step 2 — select the freshest estimate, broadcast.
             if pid == c and self.try_sent[i] < r:
@@ -400,7 +390,7 @@ class ChandraTouegTable(AsyncBatchedTable):
                     )
                     self.try_sent[i] = r
                     self.my_try[i][r] = best_est
-                    self.network.broadcast(pid, n, "TRY", best_est, r, None)
+                    self.network.broadcast(pid, n, "TRY", best_est, r)
 
             # Participant: step 3 — vote once per round.
             if self.vote_sent[i] < r:
@@ -408,10 +398,10 @@ class ChandraTouegTable(AsyncBatchedTable):
                     self.est[i] = trybuf[r]
                     self.ts[i] = r
                     self.vote_sent[i] = r
-                    self._send(pid, c, "ACK", None, r)
+                    self.network.send(pid, c, r, None, "ACK")
                 elif detector.suspects(pid, c):
                     self.vote_sent[i] = r
-                    self._send(pid, c, "NACK", None, r)
+                    self.network.send(pid, c, r, None, "NACK")
                 else:
                     return  # wait for TRY or suspicion
             self.rounds_executed[i] += 1

@@ -314,7 +314,7 @@ class MR99Table(AsyncBatchedTable):
         # Mirror onto the process object: value, timestamp, round, settle
         # hook — runner results and user-held references stay true.
         self.procs[i].decide(value, round_no=round_no)
-        self.network.broadcast(i + 1, self.n, "DECIDE", value, round_no, None)
+        self.network.broadcast(i + 1, self.n, "DECIDE", value, round_no)
 
     def _progress(self, i: int) -> None:
         """Drive ``p_{i+1}`` as far as current knowledge allows (exact mirror)."""
@@ -330,7 +330,7 @@ class MR99Table(AsyncBatchedTable):
             if self.phase[i] == 1:
                 if pid == c and self.est_sent[i] < r:
                     self.est_sent[i] = r
-                    self.network.broadcast(pid, n, "EST", self.est[i], r, None)
+                    self.network.broadcast(pid, n, "EST", self.est[i], r)
                 if r in est_from_coord:
                     aux = est_from_coord[r]
                 elif detector.suspects(pid, c):
@@ -339,7 +339,7 @@ class MR99Table(AsyncBatchedTable):
                     return  # still waiting on the coordinator or the detector
                 if self.aux_sent[i] < r:
                     self.aux_sent[i] = r
-                    self.network.broadcast(pid, n, "AUX", aux, r, None)
+                    self.network.broadcast(pid, n, "AUX", aux, r)
                 self.phase[i] = 2
 
             # Phase 2: wait for n - t AUX values of the current round.

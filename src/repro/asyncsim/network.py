@@ -6,36 +6,26 @@ of an adversarial scheduler).  Channels stay reliable and, as in the rest
 of the library, nothing is ever lost, duplicated, or altered — a crashed
 recipient simply never processes what arrives after its crash.
 
-Two delivery currencies coexist (mirroring the traced/fast split of the
-synchronous engines):
-
-* **Message objects** — :meth:`AsyncNetwork.send` carries one
-  :class:`~repro.net.message.Message` per event, the reference path and
-  the only one a ``per_message`` delay model can ride (such a model
-  inspects the message to choose its delay);
-* **pooled tuple entries** — when the runner installs a ``deliver_entry``
-  callback and the delay model does not inspect messages (none of the
-  built-ins do), sends and broadcasts schedule plain
-  ``(bits, sender, dest, round_no, payload, tag)`` tuples instead.  No
-  ``Message`` dataclass is constructed on the send side at all; the
-  receiver either consumes the tuple directly (batched columnar tables)
-  or materializes one ``Message`` per *delivered* message (per-object
-  mode — messages bound for crashed destinations are never built).
-  Delay draws, event sequence numbers, and accounting charges are issued
-  in exactly the order of the object path, so the two are byte-identical
-  run for run.
+A message travels as one plain ``(bits, sender, dest, round_no, payload,
+tag)`` tuple: :meth:`AsyncNetwork.send` and :meth:`AsyncNetwork.broadcast`
+schedule it, and the runner's ``deliver_entry`` callback receives it.  No
+:class:`~repro.net.message.Message` is built on the send side; the
+receiver either consumes the tuple directly (batched columnar tables) or
+materializes one ``Message`` per *delivered* message (per-object mode —
+messages bound for crashed destinations are never built).
 """
 
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from typing import Any, Callable
 
 from repro.asyncsim.events import EventQueue
 from repro.errors import ConfigurationError
 from repro.net.accounting import MessageStats
-from repro.net.message import Message, MessageKind, async_bits
+from repro.net.message import async_bits
 from repro.util.rng import RandomSource
 
 __all__ = [
@@ -49,20 +39,7 @@ __all__ = [
 
 
 class DelayModel(abc.ABC):
-    """Produces a delivery delay for each message.
-
-    ``per_message`` declares whether :meth:`delay` inspects the ``msg``
-    argument.  It defaults to ``True`` — the safe assumption for any
-    subclass written against the documented signature — which keeps such
-    models on the Message-materializing path.  The built-in models
-    depend only on ``now`` and the RNG, so they declare
-    ``per_message = False`` and the network serves them from the pooled
-    tuple path (``msg`` is passed as ``None`` there, and the batched
-    columnar tables become available).  A custom model that never reads
-    message fields can opt into pooling the same way.
-    """
-
-    per_message: bool = True
+    """Produces a delivery delay for each message sent at a given time."""
 
     #: Whether a fan-out's wire deliveries all land at the same instant
     #: (every draw from one ``draw_many`` call is the same value).  The
@@ -72,35 +49,44 @@ class DelayModel(abc.ABC):
     same_instant_fanouts: bool = False
 
     @abc.abstractmethod
-    def delay(self, msg: Message | None, now: float, rng: RandomSource) -> float:
-        """Delay (>= 0) to apply to ``msg`` sent at time ``now``."""
+    def delay(self, now: float, rng: RandomSource) -> float:
+        """Delay (>= 0) to apply to a message sent at time ``now``."""
 
     def draw_many(self, k: int, now: float, rng: RandomSource) -> list[float]:
         """``k`` consecutive delay draws for messages sent at ``now``.
 
         Behaviourally identical to ``k`` :meth:`delay` calls (the built-in
         overrides consume the RNG in exactly the same way — broadcast
-        fan-outs lean on that for byte-identical runs); only valid for
-        models that are not ``per_message``.
+        fan-outs lean on that for byte-identical runs).
         """
         delay = self.delay
-        return [delay(None, now, rng) for _ in range(k)]
+        return [delay(now, rng) for _ in range(k)]
+
+
+def _require_finite(model: DelayModel) -> None:
+    """Reject NaN/infinite parameters of a built-in (dataclass) model."""
+    for field in fields(model):
+        value = getattr(model, field.name)
+        if not math.isfinite(value):
+            raise ConfigurationError(
+                f"{type(model).__name__}.{field.name} must be finite, got {value!r}"
+            )
 
 
 @dataclass(frozen=True)
 class ConstantDelay(DelayModel):
     """Every message takes exactly ``value`` time units."""
 
-    per_message = False  # pure function of nothing: pooled path eligible
     same_instant_fanouts = True  # every fan-out draw is the same value
 
     value: float = 1.0
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if self.value < 0:
             raise ConfigurationError("delay must be >= 0")
 
-    def delay(self, msg: Message, now: float, rng: RandomSource) -> float:
+    def delay(self, now: float, rng: RandomSource) -> float:
         return self.value
 
     def draw_many(self, k: int, now: float, rng: RandomSource) -> list[float]:
@@ -111,16 +97,15 @@ class ConstantDelay(DelayModel):
 class UniformDelay(DelayModel):
     """Uniform delay in ``[lo, hi]``."""
 
-    per_message = False  # draws ignore the message: pooled path eligible
-
     lo: float = 0.5
     hi: float = 1.5
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if not 0 <= self.lo <= self.hi:
             raise ConfigurationError(f"need 0 <= lo <= hi, got [{self.lo}, {self.hi}]")
 
-    def delay(self, msg: Message, now: float, rng: RandomSource) -> float:
+    def delay(self, now: float, rng: RandomSource) -> float:
         return rng.uniform(self.lo, self.hi)
 
     def draw_many(self, k: int, now: float, rng: RandomSource) -> list[float]:
@@ -135,12 +120,15 @@ class UniformDelay(DelayModel):
 class LogNormalDelay(DelayModel):
     """Heavy-tailed delays (LAN with rare stragglers)."""
 
-    per_message = False  # draws ignore the message: pooled path eligible
-
     mu: float = 0.0
     sigma: float = 0.5
 
-    def delay(self, msg: Message, now: float, rng: RandomSource) -> float:
+    def __post_init__(self) -> None:
+        _require_finite(self)
+        if self.sigma < 0:
+            raise ConfigurationError(f"need sigma >= 0, got {self.sigma}")
+
+    def delay(self, now: float, rng: RandomSource) -> float:
         return rng.lognormal(self.mu, self.sigma)
 
     def draw_many(self, k: int, now: float, rng: RandomSource) -> list[float]:
@@ -157,17 +145,16 @@ class GstDelay(DelayModel):
     detector makes sense: timeouts are wrong before GST and right after.
     """
 
-    per_message = False  # draws depend on `now` only: pooled path eligible
-
     gst: float = 10.0
     wild: float = 5.0
     bound: float = 1.0
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if self.gst < 0 or self.wild <= 0 or self.bound <= 0:
             raise ConfigurationError("gst >= 0, wild > 0, bound > 0 required")
 
-    def delay(self, msg: Message, now: float, rng: RandomSource) -> float:
+    def delay(self, now: float, rng: RandomSource) -> float:
         if now < self.gst:
             return rng.uniform(0.0, self.wild)
         return rng.uniform(self.bound * 0.1, self.bound)
@@ -185,27 +172,18 @@ class GstDelay(DelayModel):
 
 
 class AsyncNetwork:
-    """Routes messages through the event queue with per-message delays.
+    """Routes message tuples through the event queue with per-message delays.
 
-    Delivery scheduling is batched: one shared bound method is the action
-    of every delivery event (the payload and its precomputed bit cost ride
-    along as the event argument), so a send allocates no closure and no
-    label string, and :meth:`broadcast` charges a whole fan-out's
-    accounting in one bulk call.
-
-    ``deliver_entry``, when installed by the runner, enables the pooled
-    tuple path (see the module docstring): it is scheduled directly as
-    the delivery action and receives
-    ``(bits, sender, dest, round_no, payload, tag)`` tuples.  The
-    callback owns the delivered-side accounting — it must charge
-    ``bulk_async(1, entry[0], delivered=True)`` when ``entry[0]`` is
-    nonzero (``bits`` is 0 for local self-deliveries, which are never
-    charged) *before* any crash-drop check, mirroring
-    :meth:`_deliver_one`.  Flattening the charge into the receiver saves
-    one Python frame per delivered message on the hottest path in the
-    asynchronous simulator.  :attr:`pooled` reports whether the fast
-    path is active (it also requires a delay model that does not inspect
-    messages).
+    ``deliver_entry`` is the action of every delivery event and receives
+    ``(bits, sender, dest, round_no, payload, tag)`` tuples, so a send
+    allocates no closure, no label string and no message object, and
+    :meth:`broadcast` charges a whole fan-out's accounting in one bulk
+    call.  The callback owns the delivered-side accounting: it must
+    charge one delivered message of ``entry[0]`` bits when ``entry[0]``
+    is nonzero (``bits`` is 0 for local self-deliveries, which are never
+    charged) *before* any crash-drop check.  Flattening the charge into
+    the receiver saves one Python frame per delivered message on the
+    hottest path in the asynchronous simulator.
     """
 
     def __init__(
@@ -213,69 +191,52 @@ class AsyncNetwork:
         queue: EventQueue,
         delay_model: DelayModel,
         rng: RandomSource,
-        deliver: Callable[[Message], None],
+        deliver_entry: Callable[[tuple], None],
         stats: MessageStats | None = None,
-        deliver_entry: Callable[[tuple], None] | None = None,
     ) -> None:
         self.queue = queue
         self.delay_model = delay_model
         self.rng = rng
-        self._deliver = deliver
         self._deliver_entry = deliver_entry
         self.stats = stats if stats is not None else MessageStats()
-        self.pooled = deliver_entry is not None and not delay_model.per_message
 
     def reset(self, rng: RandomSource, stats: MessageStats) -> None:
         """Point the network at a fresh run's RNG stream and stats ledger.
 
-        Everything else — queue, delay model, delivery callbacks — is
+        Everything else — queue, delay model, delivery callback — is
         per-configuration state that a leased runner keeps across runs.
         """
         self.rng = rng
         self.stats = stats
 
     def set_deliver_entry(self, deliver_entry: Callable[[tuple], None]) -> None:
-        """Swap the pooled delivery action (runner wiring, per install).
+        """Swap the delivery action (runner wiring, per install).
 
         In batched mode the runner points this straight at the columnar
         table's ``deliver`` — one frame per delivered message; in
         per-object mode at its own Message-materializing dispatcher.
-        Only valid when a ``deliver_entry`` was installed at
-        construction (the pooled flag never changes).
         """
         self._deliver_entry = deliver_entry
 
-    def _deliver_one(self, entry: tuple[Message, int]) -> None:
-        """Shared delivery action: charge the precomputed bits, hand over."""
-        msg, bits = entry
-        self.stats.bulk_async(1, bits, delivered=True)
-        self._deliver(msg)
-
-    def send(self, msg: Message) -> None:
-        """Send ``msg``; it will be delivered after a model-chosen delay."""
-        if msg.kind is not MessageKind.ASYNC:
-            raise ConfigurationError(
-                f"the asynchronous network carries ASYNC messages, got {msg.kind}"
-            )
-        bits = msg.bits()
-        self.stats.bulk_async(1, bits)
-        delay = self.delay_model.delay(msg, self.queue.now, self.rng)
-        if delay < 0:
-            raise ConfigurationError(f"delay model produced negative delay {delay}")
-        self.queue.schedule(delay, self._deliver_one, (msg, bits))
-
-    def send_pooled(
+    def send(
         self, sender: int, dest: int, round_no: int, payload: Any, tag: str
     ) -> None:
-        """Pooled point-to-point send: no :class:`Message` construction.
+        """Send ``(tag, payload)`` from ``sender`` to ``dest``.
 
-        Only valid while :attr:`pooled` is true; behaviourally identical
-        to :meth:`send` of the equivalent ASYNC message (same delay draw,
-        same accounting, same event ordering).
+        A send to self is local: it is delivered at zero delay with no
+        delay draw and no accounting, but still deferred through the
+        event queue — delivering synchronously would re-enter the
+        protocol handler that is sending right now, and the outer frame
+        would then resume with stale state.
         """
+        if dest == sender:
+            self.queue.schedule(
+                0.0, self._deliver_entry, (0, sender, dest, round_no, payload, tag)
+            )
+            return
         bits = async_bits(payload)
         self.stats.bulk_async(1, bits)
-        delay = self.delay_model.delay(None, self.queue.now, self.rng)
+        delay = self.delay_model.delay(self.queue.now, self.rng)
         if delay < 0:
             raise ConfigurationError(f"delay model produced negative delay {delay}")
         self.queue.schedule(
@@ -283,84 +244,40 @@ class AsyncNetwork:
         )
 
     def broadcast(
-        self,
-        sender: int,
-        n: int,
-        tag: str,
-        payload: Any,
-        round_no: int,
-        local_deliver: Callable[[Message], None],
+        self, sender: int, n: int, tag: str, payload: Any, round_no: int
     ) -> None:
         """Send ``(tag, payload)`` to every process ``1..n`` from ``sender``.
 
-        Behaviourally identical to ``n`` individual sends in destination
-        order — per-destination delay draws and event sequence numbers
-        are issued in exactly the same order, so runs are byte-identical
-        to the unbatched loop — but the payload is sized once and the
-        whole fan-out's send accounting lands in one bulk call.  The
-        sender's own copy is delivered locally (zero delay, no wire, no
-        accounting), matching
-        :meth:`repro.asyncsim.process.ProcessContext.send`.
-
-        With the pooled path active, the fan-out schedules tuple entries
-        and constructs no messages at all; otherwise one ``Message`` per
-        destination rides each delivery event.
+        Behaviourally identical to :meth:`send` to each destination in
+        order — delay draws and event sequence numbers are issued in
+        exactly the same order, so runs are byte-identical to the loop —
+        but the payload is sized once, the delays come from one
+        ``draw_many`` call, and the whole fan-out's send accounting lands
+        in one bulk call.  The sender's own copy is local, as in
+        :meth:`send`.
         """
         queue = self.queue
-        schedule = queue.schedule
-        model_delay = self.delay_model.delay
-        rng = self.rng
-        now = queue.now
-        bits = -1
-        sent = 0
-        total_bits = 0
-        if self.pooled:
-            bits = async_bits(payload)
-            # One bulk draw for the whole wire fan-out: identical RNG
-            # consumption to per-destination delay() calls, minus the
-            # per-call dispatch.
-            delays = self.delay_model.draw_many(n - 1, now, rng)
-            if delays and min(delays) < 0:
-                raise ConfigurationError(
-                    f"delay model produced negative delay {min(delays)}"
-                )
-            # The sender's own copy slots into its in-order position at
-            # zero delay and zero charged bits (local, no wire).
-            delays.insert(sender - 1, 0.0)
-            entries = [
-                (bits, sender, dest, round_no, payload, tag)
-                if dest != sender
-                else (0, sender, dest, round_no, payload, tag)
-                for dest in range(1, n + 1)
-            ]
-            # The whole fan-out — self-delivery included — shares one
-            # action and one scheduling call; constant-delay models
-            # additionally collapse the same-instant wire run into one
-            # block heap entry.
-            queue.schedule_fanout(
-                self._deliver_entry, delays, entries,
-                grouped=self.delay_model.same_instant_fanouts,
+        bits = async_bits(payload)
+        delays = self.delay_model.draw_many(n - 1, queue.now, self.rng)
+        if delays and min(delays) < 0:
+            raise ConfigurationError(
+                f"delay model produced negative delay {min(delays)}"
             )
-            sent = n - 1
-            total_bits = sent * bits
-        else:
-            deliver_one = self._deliver_one
-            for dest in range(1, n + 1):
-                msg = Message(
-                    MessageKind.ASYNC, sender, dest, round_no, payload=payload, tag=tag
-                )
-                if dest == sender:
-                    schedule(0.0, local_deliver, msg)
-                    continue
-                if bits < 0:
-                    bits = msg.bits()
-                delay = model_delay(msg, now, rng)
-                if delay < 0:
-                    raise ConfigurationError(
-                        f"delay model produced negative delay {delay}"
-                    )
-                schedule(delay, deliver_one, (msg, bits))
-                sent += 1
-                total_bits += bits
-        if sent:
-            self.stats.bulk_async(sent, total_bits)
+        # The sender's own copy slots into its in-order position at zero
+        # delay and zero charged bits (local, no wire).
+        delays.insert(sender - 1, 0.0)
+        entries = [
+            (bits, sender, dest, round_no, payload, tag)
+            if dest != sender
+            else (0, sender, dest, round_no, payload, tag)
+            for dest in range(1, n + 1)
+        ]
+        # The whole fan-out — self-delivery included — shares one action
+        # and one scheduling call; constant-delay models additionally
+        # collapse the same-instant wire run into one block heap entry.
+        queue.schedule_fanout(
+            self._deliver_entry, delays, entries,
+            grouped=self.delay_model.same_instant_fanouts,
+        )
+        if n > 1:
+            self.stats.bulk_async(n - 1, (n - 1) * bits)

@@ -3,6 +3,10 @@
 An :class:`AsyncProcess` is an event-driven state machine: the runner wires
 it to a :class:`ProcessContext` and invokes ``on_start`` once, then
 ``on_message`` per delivery and ``on_fd_change`` per detector update.
+The context's sends go to :class:`~repro.asyncsim.network.AsyncNetwork`
+as plain tuples; the runner builds the one
+:class:`~repro.net.message.Message` a handler receives only when the
+message is delivered to a live process.
 Handlers run atomically at a simulated instant; crashes take effect between
 events (message-granular crash interleavings are the synchronous engines'
 job — MR99-style indulgent protocols are safe under any interleaving, which
@@ -34,7 +38,7 @@ from repro.asyncsim.events import EventQueue
 from repro.asyncsim.failure_detector import SimulatedDiamondS
 from repro.asyncsim.network import AsyncNetwork
 from repro.errors import ConfigurationError, ModelViolationError
-from repro.net.message import Message, MessageKind
+from repro.net.message import Message
 
 __all__ = [
     "ProcessContext",
@@ -55,14 +59,12 @@ class ProcessContext:
         queue: EventQueue,
         network: AsyncNetwork,
         detector: SimulatedDiamondS,
-        local_deliver: Callable[[Message], None],
     ) -> None:
         self.pid = pid
         self.n = n
         self._queue = queue
         self._network = network
         self._detector = detector
-        self._local_deliver = local_deliver
 
     @property
     def now(self) -> float:
@@ -70,43 +72,19 @@ class ProcessContext:
         return self._queue.now
 
     def send(self, dest: int, tag: str, payload: Any, round_no: int = 0) -> None:
-        """Send one protocol message."""
+        """Send one protocol message (a send to self is local)."""
         if not 1 <= dest <= self.n:
             raise ModelViolationError(f"p{self.pid}: bad destination {dest}")
-        network = self._network
-        if network.pooled:
-            # Pooled tuple path: no Message construction on the send side.
-            if dest == self.pid:
-                self._queue.schedule(
-                    0.0,
-                    network._deliver_entry,
-                    (0, self.pid, dest, round_no, payload, tag),
-                )
-            else:
-                network.send_pooled(self.pid, dest, round_no, payload, tag)
-            return
-        msg = Message(
-            MessageKind.ASYNC, self.pid, dest, round_no, payload=payload, tag=tag
-        )
-        if dest == self.pid:
-            # Self-delivery is local (no wire, no accounting) but deferred
-            # through the event queue at zero delay: delivering synchronously
-            # would re-enter the protocol handler that is sending right now,
-            # and the outer frame would then resume with stale state.
-            self._queue.schedule(0.0, self._local_deliver, msg)
-        else:
-            self._network.send(msg)
+        self._network.send(self.pid, dest, round_no, payload, tag)
 
     def broadcast(self, tag: str, payload: Any, round_no: int = 0) -> None:
         """Send to every process including self (self delivery is local).
 
         Delegates to the network's batched broadcast: byte-identical to a
         loop of :meth:`send` over ``1..n`` but with one bulk accounting
-        charge and no per-message closures.
+        charge and one scheduling call.
         """
-        self._network.broadcast(
-            self.pid, self.n, tag, payload, round_no, self._local_deliver
-        )
+        self._network.broadcast(self.pid, self.n, tag, payload, round_no)
 
     def suspects(self, pid: int) -> bool:
         """Query this process's failure-detector module."""
@@ -201,7 +179,7 @@ class AsyncBatchedTable(abc.ABC):
     The runner normally dispatches every delivery through an
     :class:`AsyncProcess` object — one ``on_message`` plus one full
     ``_progress`` re-evaluation per event.  A table holds all per-process
-    protocol state in pid-indexed parallel lists and consumes raw pooled
+    protocol state in pid-indexed parallel lists and consumes the raw
     delivery tuples; it applies each event to its columns and re-runs the
     (mirrored) progress machine only when the event can actually satisfy
     the destination's current wait condition.
@@ -250,12 +228,12 @@ class AsyncBatchedTable(abc.ABC):
     def deliver(self, entry: tuple) -> None:
         """One delivery event: ``(bits, sender, dest, round_no, payload, tag)``.
 
-        Scheduled directly as the event action on the pooled path — the
-        single Python frame per delivered message.  Implementations must,
-        in order: charge ``stats.async_delivered``/``bits_delivered`` by
-        ``entry[0]`` when nonzero (local self-deliveries carry 0 and are
-        never charged), drop the message if ``entry[2]`` is in
-        :attr:`crashed`, then apply the protocol handler.
+        Scheduled directly as the event action — the single Python frame
+        per delivered message.  Implementations must, in order: charge
+        ``stats.async_delivered``/``bits_delivered`` by ``entry[0]`` when
+        nonzero (local self-deliveries carry 0 and are never charged),
+        drop the message if ``entry[2]`` is in :attr:`crashed`, then apply
+        the protocol handler.
         """
 
     @abc.abstractmethod
@@ -312,12 +290,10 @@ def async_table_for(
 ) -> AsyncBatchedTable | None:
     """The columnar table for ``processes``, or None when unavailable.
 
-    Requires a homogeneous table (every process of the exact registered
-    type) *and* the network's pooled tuple path — a ``per_message`` delay
-    model forces per-object stepping, since tables never build the
-    messages such a model needs to inspect.
+    Requires a homogeneous table: every process of the exact registered
+    type.
     """
-    if not processes or not network.pooled:
+    if not processes:
         return None
     cls = type(processes[0])
     factory = _ASYNC_TABLES.get(cls)

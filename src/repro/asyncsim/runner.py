@@ -2,17 +2,18 @@
 
 The runner drives the protocol in one of two modes:
 
-* **per-object** (``batched=False``): every delivery dispatches through
-  the destination's :class:`AsyncProcess` handler — the reference path;
+* **per-object** (``batched=False``): the runner turns each delivered
+  ``(bits, sender, dest, round_no, payload, tag)`` tuple of the network
+  into one :class:`~repro.net.message.Message` for the destination's
+  :class:`AsyncProcess` handler — the reference path;
 * **batched columnar** (``batched=None`` auto-detects, ``True``
   requires): when every process is of one exact type with a registered
-  :class:`~repro.asyncsim.process.AsyncBatchedTable` and the delay model
-  rides the pooled tuple path, deliveries go straight to the table as
-  raw ``(bits, sender, dest, round_no, payload, tag)`` entries — no
-  ``Message`` object is ever built — and the table re-evaluates progress
-  only on events that can unblock the destination.  Decisions are
-  mirrored back onto the process objects, and runs are byte-identical to
-  per-object mode (``tests/asyncsim/test_batched_async_parity.py``).
+  :class:`~repro.asyncsim.process.AsyncBatchedTable`, the tuples go
+  straight to the table — no ``Message`` object is ever built — and the
+  table re-evaluates progress only on events that can unblock the
+  destination.  Decisions are mirrored back onto the process objects,
+  and runs are byte-identical to per-object mode
+  (``tests/asyncsim/test_batched_async_parity.py``).
 
 A runner is **reusable**: :meth:`AsyncRunner.reset` rewires it for a
 fresh process list (same ``n``/``t``/delay model/detector spec) while
@@ -120,14 +121,13 @@ class AsyncRunner:
             self.queue,
             self.delay_model,
             self.rng.spawn("net"),
-            self._deliver,
+            self._deliver_entry,
             stats=self.stats,
-            deliver_entry=self._deliver_entry,
         )
         # Contexts depend only on (pid, n) and the long-lived wiring, so a
         # reused runner hands the same context objects to fresh processes.
         self._contexts = [
-            ProcessContext(pid, n, self.queue, self.network, self.detector, self._deliver)
+            ProcessContext(pid, n, self.queue, self.network, self.detector)
             for pid in range(1, n + 1)
         ]
         self._install(processes, crashes)
@@ -177,7 +177,7 @@ class AsyncRunner:
             if self._batched and self._table is None:
                 raise ConfigurationError(
                     f"batched=True but {type(processes[0]).__name__} has no "
-                    f"registered async table (or the delay model is per_message)"
+                    "registered async table"
                 )
         if self._table is not None:
             # One frame per delivery: the table itself is the scheduled
@@ -259,22 +259,16 @@ class AsyncRunner:
 
     # -- wiring callbacks -----------------------------------------------------
 
-    def _deliver(self, msg: Message) -> None:
-        if msg.dest in self._crashed:
-            return  # delivered into the void
-        self.procs[msg.dest].on_message(msg)
-
     def _deliver_entry(self, entry: tuple) -> None:
-        """Pooled delivery in per-object mode.
+        """Delivery in per-object mode.
 
-        Scheduled directly as the delivery action by the network's pooled
-        path (batched runs schedule the table's ``deliver`` instead), so
-        the delivered-side accounting lands here — counters bumped in
-        place, one attribute write instead of a ``bulk_async`` frame —
+        Scheduled directly as the delivery action by the network (batched
+        runs schedule the table's ``deliver`` instead), so the
+        delivered-side accounting lands here — counters bumped in place —
         *before* the crash check: a message into the void still counts as
-        delivered, exactly like the Message path's ``_deliver_one``.  The
-        one ``Message`` the handler expects is materialized after the
-        crash check, so messages into the void are never built at all.
+        delivered.  The one ``Message`` the handler expects is
+        materialized after the crash check, so messages into the void are
+        never built at all.
         """
         bits = entry[0]
         if bits:

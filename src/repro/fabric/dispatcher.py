@@ -215,8 +215,6 @@ def _worker_main(
     slab = ScalarSlab.attach(shm_name, capacity)
     lease = EngineLease()
     completed = 0
-    if faults is not None and faults.kill_now(completed, worker_id, incarnation):
-        os._exit(_FAULT_EXIT)  # kill with after=0: die before the first task
     try:
         while True:
             try:
@@ -228,6 +226,8 @@ def _worker_main(
             _, shard_id, slot, file_name, start, deltas, skip, attempt = msg
             torn = False
             if faults is not None:
+                if completed == 0 and faults.kill_now(0, worker_id, incarnation):
+                    os._exit(_FAULT_EXIT)  # after=0: die holding the first shard
                 pause = faults.hang_for(shard_id, worker_id, incarnation)
                 if pause is not None:
                     time.sleep(pause)

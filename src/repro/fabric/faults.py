@@ -19,9 +19,10 @@ Chaos spec grammar (CLI ``scenario sweep --chaos``)::
 Per-kind keys:
 
 * ``kill`` — ``worker`` (target index; default: any), ``after`` (die
-  right after completing this many shards; ``0`` = at startup, before
-  the first task), ``incarnation`` (default ``0``: only the original
-  worker dies, so its respawned replacement makes progress).
+  right after completing this many shards; ``0`` = on receiving its
+  first shard, before running it), ``incarnation`` (default ``0``: only
+  the original worker dies, so its respawned replacement makes
+  progress).
 * ``hang`` — ``shard`` (sleep instead of running it; default: any),
   ``worker``, ``incarnation`` (defaults as above).  The sleep outlasts
   any sane liveness timeout, so the supervisor's hang detection is what
@@ -227,7 +228,8 @@ class FaultPlan:
     # -- injection points (bound plans only) -------------------------------
 
     def kill_now(self, completed: int, worker: int, incarnation: int) -> bool:
-        """Worker side: die after ``completed`` shards? (checked per shard)."""
+        """Worker side: die after ``completed`` shards? (checked per shard,
+        and on receiving the first one for ``after=0``)."""
         return any(
             s.kind == "kill"
             and (s.worker is None or s.worker == worker)

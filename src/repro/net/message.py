@@ -33,11 +33,11 @@ ASYNC_HEADER_BITS = 32 + 8
 def async_bits(payload: Any) -> int:
     """Wire cost of one ASYNC message carrying ``payload``.
 
-    The single sizing authority for the asynchronous fast path: the
-    pooled (tuple-entry) delivery pipeline in
-    :mod:`repro.asyncsim.network` never materializes a :class:`Message`,
-    so it charges accounting through this helper instead of
-    :meth:`Message.bits`; the two are definitionally identical.
+    The single sizing authority for the asynchronous network: it sends
+    plain tuples and never materializes a :class:`Message` (see
+    :mod:`repro.asyncsim.network`), so it charges accounting through this
+    helper instead of :meth:`Message.bits`; the two are definitionally
+    identical.
     """
     return bit_size(payload) + ASYNC_HEADER_BITS
 

@@ -34,6 +34,7 @@ grids under ``tests/sync/``).
 
 from __future__ import annotations
 
+import math
 from typing import Any, Callable
 
 from repro.errors import ConfigurationError
@@ -222,15 +223,19 @@ def _check_timing_keys(timing: dict[str, Any], backend: str) -> None:
 def _timing_number(
     timing: dict[str, Any], key: str, default: float, backend: str, cast=float
 ) -> Any:
-    """``cast(timing.get(key, default))``, failing as a configuration error."""
+    """``cast(timing.get(key, default))``, failing as a configuration error
+    unless it is a finite number."""
     value = timing.get(key, default)
     try:
-        return cast(value)
+        number = cast(value)
     except (OverflowError, TypeError, ValueError):
+        number = math.nan
+    if not math.isfinite(number):
         raise ConfigurationError(
-            f"timing {key!r} must be a number for the {backend!r} backend, "
-            f"got {value!r}"
-        ) from None
+            f"timing {key!r} must be a finite number for the {backend!r} "
+            f"backend, got {value!r}"
+        )
+    return number
 
 
 def delay_model_from(timing: dict[str, Any]):

@@ -1,6 +1,6 @@
 """Batched columnar tables vs per-object stepping: byte-identical runs.
 
-The async analogue of ``tests/sync/test_batched_parity.py``: for every
+The async analogue of ``tests/sync/test_vector_parity.py``: for every
 algorithm with a registered :class:`repro.asyncsim.process.AsyncBatchedTable`,
 driving the run through the table (raw tuple deliveries, guarded progress
 re-evaluation, no ``Message`` objects) must be observably identical to
@@ -126,41 +126,27 @@ def test_batched_true_requires_a_table():
         AsyncRunner(procs, t=0, rng=RandomSource(0), batched=True)
 
 
-def test_legacy_custom_delay_model_still_receives_messages():
-    # Backward compatibility: a subclass written against the documented
-    # delay(msg, now, rng) signature — without knowing about the
-    # per_message flag — must keep receiving real Message objects.  The
-    # flag defaults to True on the base class; only models that opt out
-    # (all built-ins do) ride the pooled tuple path.
+def test_custom_delay_model_rides_the_table():
+    # A subclass that implements only delay(now, rng) gets the base
+    # draw_many, and its runs step through the batched table exactly
+    # like the per-object reference.
     from repro.asyncsim.network import DelayModel
 
-    class PayloadDelay(DelayModel):
-        def delay(self, msg, now, rng):
-            return 0.001 * len(str(msg.payload))  # inspects the message
+    class Backoff(DelayModel):
+        def delay(self, now, rng):
+            return 0.5 + rng.uniform(0.0, 1.0) / (1.0 + now)
 
-    assert PayloadDelay.per_message is True
-    procs = [MR99Consensus(pid, 5, pid, 2) for pid in range(1, 6)]
-    runner = AsyncRunner(procs, t=2, delay_model=PayloadDelay(), rng=RandomSource(3))
-    assert runner._table is None  # pooling (and thus batching) stays off
-    result = runner.run()
-    assert check_consensus(result).violations == ()
+    def run(batched):
+        procs = [MR99Consensus(pid, 5, pid, 2) for pid in range(1, 6)]
+        runner = AsyncRunner(
+            procs, t=2, delay_model=Backoff(), rng=RandomSource(3), batched=batched
+        )
+        assert (runner._table is not None) is (batched is None)
+        return runner.run()
 
-
-def test_per_message_delay_model_falls_back_to_objects():
-    class Nosy(UniformDelay):
-        per_message = True  # inspects the message: pooled path must stay off
-
-        def delay(self, msg, now, rng):
-            assert msg is not None  # the contract the flag buys
-            return super().delay(msg, now, rng)
-
-    procs = [MR99Consensus(pid, 5, pid, 2) for pid in range(1, 6)]
-    runner = AsyncRunner(
-        procs, t=2, delay_model=Nosy(), rng=RandomSource(1), batched=None
-    )
-    assert runner._table is None  # table unavailable without pooling
-    result = runner.run()
-    assert check_consensus(result).violations == ()
+    batched = run(None)
+    assert check_consensus(batched).violations == ()
+    assert dataclasses.asdict(batched) == dataclasses.asdict(run(False))
 
 
 def test_mixed_process_types_fall_back():

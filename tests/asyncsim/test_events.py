@@ -467,7 +467,7 @@ class TestFanoutBlocks:
         assert q.executed == 2 and len(q) == 0
 
     def test_broadcast_heap_traffic_shrinks_under_constant_delay(self):
-        # The structural claim behind the same-instant kernel: a pooled
+        # The structural claim behind the same-instant kernel: a
         # constant-delay broadcast occupies one wire block + one local
         # self-delivery entry instead of n heap entries.
         from repro.asyncsim.network import AsyncNetwork, ConstantDelay
@@ -477,10 +477,10 @@ class TestFanoutBlocks:
         delivered: list = []
         q = EventQueue()
         net = AsyncNetwork(
-            q, ConstantDelay(1.0), RandomSource(0), lambda m: None,
-            stats=MessageStats(), deliver_entry=delivered.append,
+            q, ConstantDelay(1.0), RandomSource(0), delivered.append,
+            stats=MessageStats(),
         )
-        net.broadcast(2, 8, "EST", 42, 1, None)
+        net.broadcast(2, 8, "EST", 42, 1)
         assert len(q) == 8  # eight deliveries pending...
         assert len(q._heap) == 3  # ...in [pre-self block][self][post-self block]
         q.run()

@@ -50,7 +50,7 @@ class TestRunnerValidation:
         runner = AsyncRunner(procs, t=1)
         with pytest.raises(ConfigurationError):
             procs[0].attach(
-                ProcessContext(1, 3, runner.queue, runner.network, runner.detector, lambda m: None)
+                ProcessContext(1, 3, runner.queue, runner.network, runner.detector)
             )
 
 

@@ -66,8 +66,9 @@ class TestKillRecovery:
         manifest = ShardManifest.load(str(tmp_path / "shards"))
         assert all(s.status == "done" for s in manifest.shards)
 
-    def test_kill_at_startup_before_any_shard(self, cells, clean_records):
-        # after=0: the worker dies before taking its first task.
+    def test_kill_on_receiving_first_shard(self, cells, clean_records):
+        # after=0: the worker dies holding its first shard, which fails
+        # and is retried.
         sweep = ShardedSweep(
             cells, processes=2, shards=4,
             faults=FaultPlan.from_spec("kill:worker=1,after=0"),
@@ -75,6 +76,7 @@ class TestKillRecovery:
         records = sweep.run()
         assert_matches_minus_quarantine(records, clean_records)
         assert sweep.respawns >= 1
+        assert sweep.retries >= 1
 
     def test_dispatch_into_dead_worker_requeues(self, cells, clean_records):
         # Both workers die after their first shard; every requeued shard
@@ -203,12 +205,12 @@ class TestUnattributedRepeatKiller:
     """A shard whose failure names no cell, once retries are spent, is
     probed in the parent; probed shards report no owning worker.
 
-    The kill comes after one shard, so worker 0 dies holding the second
-    shard it was sent.  With ``after=0`` it may die before the parent's
-    first send; the shard then just goes back on the queue, nothing
-    fails, and the probe is never reached."""
+    A kill leaves worker 0 dying while it holds a shard: its first one
+    with ``after=0``, its second with ``after=1``."""
 
-    @pytest.mark.parametrize("spec", ["torn:shard=0", "kill:worker=0,after=1"])
+    @pytest.mark.parametrize(
+        "spec", ["torn:shard=0", "kill:worker=0,after=0", "kill:worker=0,after=1"]
+    )
     def test_probe_in_parent_matches_clean_records(
         self, cells, clean_records, tmp_path, spec
     ):

@@ -161,6 +161,7 @@ class TestCLI:
         "scenario sweep -a crw --n 4 --seeds 2 --executor sharded --jobs 2"
         " --jsonl {tmp}/shards --liveness-timeout nan",
         "explore --n 4 --max-crashes 1 --truncate-at -5 --max-rounds 2",
+        "scenario run -a mr99 --n 5 --f 1 --timing delay=constant --timing value=nan",
     ])
     def test_non_finite_and_out_of_range_inputs_exit_2(self, argv, tmp_path, capsys):
         # NaN fails every `<= 0` test, so each bound also rejects

@@ -121,6 +121,32 @@ class TestRejections:
         with pytest.raises(ConfigurationError, match=rf"timing '{key}'.*'{backend}'"):
             execute(scenario)
 
+    @pytest.mark.parametrize("algorithm, timing, key", [
+        ("mr99", {"delay": "constant"}, "value"),
+        ("mr99", {"delay": "uniform"}, "lo"),
+        ("mr99", {"delay": "uniform"}, "hi"),
+        ("mr99", {"delay": "lognormal"}, "mu"),
+        ("mr99", {"delay": "lognormal"}, "sigma"),
+        ("mr99", {"delay": "gst"}, "gst"),
+        ("mr99", {"delay": "gst"}, "wild"),
+        ("mr99", {"delay": "gst"}, "bound"),
+        ("chandra-toueg", {}, "stabilization_time"),
+        ("chandra-toueg", {}, "detection_latency"),
+        ("chandra-toueg", {}, "churn_rate"),
+        ("chandra-toueg", {}, "false_suspicion_duration"),
+        ("mr99", {}, "until"),
+        ("mr99", {}, "max_events"),
+        ("ffd", {}, "D"),
+        ("ffd", {}, "d"),
+        ("ffd", {}, "delta_min"),
+    ], ids=lambda v: v if isinstance(v, str) else "")
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), "-inf"])
+    def test_non_finite_timing_values_rejected(self, algorithm, timing, key, value):
+        backend = "ffd" if algorithm == "ffd" else "async"
+        scenario = Scenario(algorithm=algorithm, n=5, f=1, timing={**timing, key: value})
+        with pytest.raises(ConfigurationError, match=rf"timing '{key}'.*finite.*'{backend}'"):
+            execute(scenario)
+
     @pytest.mark.parametrize("algorithm", ["crw", "floodset"])  # extended, classic
     def test_sync_backends_reject_timing_keys_no_backend_reads(self, algorithm):
         with pytest.raises(ConfigurationError, match="'bogus'"):
