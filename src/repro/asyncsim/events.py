@@ -14,12 +14,9 @@ C and never reaches the ``action`` element because ``seq`` is unique.
 callers (the network's delivery path) can schedule one shared bound
 method per queue instead of allocating a closure per message.
 
-Cancellation uses a tombstone set keyed by ``seq``: a cancelled entry
-stays in the heap but is dropped un-executed when it surfaces, and the
-heap is compacted eagerly once more than half of it is dead — so a
-protocol that schedules many timers and cancels most of them no longer
-leaks heap space until drain.  ``executed`` counts exactly the actions
-that ran: tombstoned entries never increment it.
+Events cannot be cancelled: no protocol here revokes a timer (a
+handler that no longer applies re-checks its guard and returns), so
+every entry that surfaces runs and ``executed`` counts them all.
 
 Same-instant delivery runs are additionally *blocked*:
 :meth:`EventQueue.schedule_fanout` folds every maximal run of equal
@@ -27,7 +24,7 @@ delays into **one** heap entry carrying the whole argument list (the
 entry still owns one ``seq`` per item, so global ordering is untouched).
 A constant-delay broadcast of ``n`` messages then costs one heap push
 and one pop instead of ``n`` of each, and :meth:`run` drains the block's
-items in a single dispatch frame — checking the stop predicates and the
+items in a single dispatch frame — checking the stop set and the
 event budget *between items*, exactly as the unblocked loop would, so
 blocked and per-entry executions are observably identical down to the
 ``executed`` counter.
@@ -36,6 +33,7 @@ blocked and per-entry executions are observably identical down to the
 from __future__ import annotations
 
 import heapq
+import math
 from typing import Any, Callable, Sequence
 
 from repro.errors import ConfigurationError, SimulationError
@@ -49,26 +47,14 @@ _FANOUT_BLOCK = object()
 
 
 class EventQueue:
-    """A deterministic simulated-time event loop.
+    """A deterministic simulated-time event loop."""
 
-    :meth:`schedule` / :meth:`schedule_at` return the entry's ``seq``
-    token; pass it to :meth:`cancel` to revoke the event.  ``label`` is
-    accepted as a readability aid at call sites but not stored — entries
-    are bare tuples.
-    """
-
-    __slots__ = (
-        "_heap", "_seq", "_now", "_pending", "_cancelled", "_dead",
-        "_blocked_extra", "executed",
-    )
+    __slots__ = ("_heap", "_seq", "_now", "_blocked_extra", "executed")
 
     def __init__(self) -> None:
         self._heap: list[tuple[float, int, Callable[..., None], Any]] = []
         self._seq = 0
         self._now = 0.0
-        self._pending: set[int] = set()  # cancellable entries still in the heap
-        self._cancelled: set[int] = set()  # tombstones: seqs to drop unrun
-        self._dead = 0  # tombstoned entries still sitting in the heap
         self._blocked_extra = 0  # events beyond the first inside fanout blocks
         self.executed = 0
 
@@ -86,34 +72,25 @@ class EventQueue:
         sequence numbers of a leased run must match a fresh run's).
         """
         self._heap.clear()
-        self._pending.clear()
-        self._cancelled.clear()
-        self._dead = 0
         self._blocked_extra = 0
         self._seq = 0
         self._now = 0.0
         self.executed = 0
 
     def schedule(
-        self,
-        delay: float,
-        action: Callable[..., None],
-        arg: Any = None,
-        label: str = "",
-    ) -> int:
+        self, delay: float, action: Callable[..., None], arg: Any = None
+    ) -> None:
         """Schedule ``action`` to run ``delay`` time units from now.
 
         ``arg`` is passed to ``action`` at fire time when not None —
         schedule a shared bound method plus its argument instead of a
-        per-event closure on hot paths.  Returns the cancellation token.
+        per-event closure on hot paths.
         """
         if delay < 0:
             raise ConfigurationError(f"cannot schedule into the past (delay={delay})")
         seq = self._seq
         self._seq = seq + 1
-        self._pending.add(seq)
         heapq.heappush(self._heap, (self._now + delay, seq, action, arg))
-        return seq
 
     def schedule_fanout(
         self,
@@ -130,11 +107,6 @@ class EventQueue:
         actually pays for.  The parallel-list shape lets ``zip`` pair the
         two at C speed; the caller guarantees non-negative delays (the
         network's delay models are validated at the draw site).
-
-        Fan-out entries are **not cancellable**: no tokens are returned,
-        so their seqs skip the ``_pending`` book-keeping entirely (one
-        set insert per delivery saved; ``cancel`` on such a seq is a
-        no-op by the existing unknown-token rule).
 
         With ``grouped=True``, maximal runs of *equal consecutive delays*
         — the whole fan-out, for a constant-delay model — become one
@@ -178,12 +150,8 @@ class EventQueue:
         self._seq = seq
 
     def schedule_at(
-        self,
-        time: float,
-        action: Callable[..., None],
-        arg: Any = None,
-        label: str = "",
-    ) -> int:
+        self, time: float, action: Callable[..., None], arg: Any = None
+    ) -> None:
         """Schedule ``action`` at absolute simulated time ``time``."""
         if time < self._now:
             raise ConfigurationError(
@@ -191,9 +159,7 @@ class EventQueue:
             )
         seq = self._seq
         self._seq = seq + 1
-        self._pending.add(seq)
         heapq.heappush(self._heap, (time, seq, action, arg))
-        return seq
 
     def _requeue_block(
         self, when: float, first_seq: int, action: Callable[..., None], items: Sequence[Any]
@@ -212,60 +178,27 @@ class EventQueue:
             )
             self._blocked_extra += len(items) - 1
 
-    def cancel(self, seq: int) -> None:
-        """Revoke the event with token ``seq`` (idempotent).
-
-        The entry stays in the heap as a tombstone and is dropped without
-        running when it surfaces; once tombstones exceed half the heap,
-        the heap is rebuilt without them.  Cancelling an event that
-        already ran (or an unknown token) is a no-op — it never
-        un-counts :attr:`executed` and never skews the live-entry
-        accounting behind :meth:`__len__`.
-        """
-        if seq not in self._pending or seq in self._cancelled:
-            return
-        self._cancelled.add(seq)
-        self._dead += 1
-        if self._dead * 2 > len(self._heap):
-            self._compact()
-
-    def _compact(self) -> None:
-        """Drop every tombstoned entry and restore the heap invariant.
-
-        In place (slice assignment) on purpose: :meth:`run` holds a local
-        reference to the heap list while events execute, and an event's
-        action may trigger compaction through :meth:`cancel`.
-        """
-        cancelled = self._cancelled
-        heap = self._heap
-        heap[:] = [e for e in heap if e[1] not in cancelled]
-        heapq.heapify(heap)
-        self._pending.difference_update(cancelled)
-        cancelled.clear()
-        self._dead = 0
-
     def run(
         self,
         *,
         until: float | None = None,
         max_events: int = 1_000_000,
-        stop: Callable[[], bool] | None = None,
         stop_set: Any = None,
     ) -> float:
         """Drain the queue; return the final simulated time.
 
         Stops when the queue empties, simulated time would pass ``until``,
-        ``stop()`` turns true (checked between events), ``stop_set``
-        becomes empty, or ``max_events`` executed *by this call* (then
-        raises — a runaway protocol is a bug, not a result).  The budget
-        is per ``run()`` invocation: earlier calls on the same queue
-        never eat into it.
+        ``stop_set`` becomes empty (checked between events), or
+        ``max_events`` executed *by this call* (then raises — a runaway
+        protocol is a bug, not a result).  The budget is per ``run()``
+        invocation: earlier calls on the same queue never eat into it.
 
-        ``stop_set`` is the allocation-free spelling of the common stop
-        predicate "some tracked collection drained": passing the
-        collection itself replaces a Python closure call per event with
-        one C-level truthiness test (the async runner's settle tracking
-        uses this).
+        ``stop_set`` is the one stop predicate, "some tracked collection
+        drained": the caller passes the collection its handlers shrink
+        (the async runner's and the fast-FD run's unsettled pids), so the
+        check is one C-level truthiness test per event.  A NaN ``until``
+        raises: it compares false against every time, so it would
+        silently mean "no horizon".
 
         The clock is monotone: a horizon in the past (``until < now``) is
         clamped to ``now``, so the call executes nothing (no pending event
@@ -274,6 +207,8 @@ class EventQueue:
         """
         if max_events < 1:
             raise ConfigurationError(f"max_events must be >= 1, got {max_events}")
+        if until is not None and math.isnan(until):
+            raise ConfigurationError("until must be a number or None, got nan")
         # Clamp the horizon so the clock is monotone: a past `until`
         # executes nothing (no pending event can be due — scheduling into
         # the past is rejected) and never rewinds `now`.  `inf` folds the
@@ -282,8 +217,6 @@ class EventQueue:
         heap = self._heap
         pop = heapq.heappop
         push = heapq.heappush
-        pending = self._pending
-        cancelled = self._cancelled
         if stop_set is None:
             stop_set = (1,)  # never-empty sentinel: one truthiness test per event
         ran = 0
@@ -291,15 +224,8 @@ class EventQueue:
             while heap:
                 if not stop_set:
                     break
-                if stop is not None and stop():
-                    break
                 entry = pop(heap)
                 when, seq, action, arg = entry
-                if seq in cancelled:
-                    cancelled.discard(seq)
-                    pending.discard(seq)
-                    self._dead -= 1
-                    continue
                 if when > horizon:
                     # Leave the event unexecuted; the horizon ends the run.
                     push(heap, entry)
@@ -312,12 +238,11 @@ class EventQueue:
                     )
                 if action is _FANOUT_BLOCK:
                     # Same-instant fanout run: drain the items in one
-                    # dispatch frame.  Stop predicates and the budget are
+                    # dispatch frame.  The stop set and the budget are
                     # re-checked between items — an item that settles the
                     # run (or exhausts the budget) leaves the remainder
                     # queued as a smaller block, exactly like unexecuted
-                    # per-entry events.  Block items are never cancellable
-                    # and never in ``pending``, so those checks are skipped.
+                    # per-entry events.
                     real_action, items = arg
                     count = len(items)
                     self._blocked_extra -= count - 1
@@ -332,7 +257,7 @@ class EventQueue:
                     try:
                         while idx < count:
                             resume_from = idx
-                            if (not stop_set) or (stop is not None and stop()):
+                            if not stop_set:
                                 break
                             if ran >= max_events:
                                 raise SimulationError(
@@ -350,8 +275,6 @@ class EventQueue:
                                 items[resume_from:],
                             )
                     continue
-                if pending:
-                    pending.discard(seq)
                 self._now = when
                 if arg is None:
                     action()
@@ -366,5 +289,5 @@ class EventQueue:
         return self._now
 
     def __len__(self) -> int:
-        """Pending live (non-tombstoned) events, counting every block item."""
-        return len(self._heap) - self._dead + self._blocked_extra
+        """Pending events, counting every block item."""
+        return len(self._heap) + self._blocked_extra

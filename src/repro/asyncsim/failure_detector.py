@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.asyncsim.events import EventQueue
+from repro.asyncsim.network import _require_finite
 from repro.errors import ConfigurationError
 from repro.util.rng import RandomSource
 
@@ -55,6 +56,7 @@ class DetectorSpec:
     false_suspicion_duration: float = 1.0
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if self.stabilization_time < 0 or self.detection_latency < 0:
             raise ConfigurationError("times must be >= 0")
         if self.churn_rate < 0 or self.false_suspicion_duration <= 0:

@@ -63,8 +63,9 @@ class DelayModel(abc.ABC):
         return [delay(now, rng) for _ in range(k)]
 
 
-def _require_finite(model: DelayModel) -> None:
-    """Reject NaN/infinite parameters of a built-in (dataclass) model."""
+def _require_finite(model: Any) -> None:
+    """Reject NaN/infinite fields of a numeric dataclass: the built-in
+    delay models and :class:`~repro.asyncsim.failure_detector.DetectorSpec`."""
     for field in fields(model):
         value = getattr(model, field.name)
         if not math.isfinite(value):

@@ -207,6 +207,7 @@ class FastFDConsensus:
         self.decided = True
         self.decision = value
         self.decision_time = self.env.queue.now
+        self.env.unsettled.discard(self.pid)
 
 
 def run_ffd_consensus(
@@ -233,10 +234,8 @@ def run_ffd_consensus(
     )
 
     # Takeover grid (condition evaluated at the slot, checked at slot + d).
-    for pid, proc in procs.items():
-        env.queue.schedule_at(
-            proc.takeover_check_time(), proc.maybe_take_over, label=f"takeover slot {pid}"
-        )
+    for proc in procs.values():
+        env.queue.schedule_at(proc.takeover_check_time(), proc.maybe_take_over)
 
     # Decision deadlines: schedule conservatively for every possible L; the
     # handlers re-check the *actual* L so early timers are harmless.  The
@@ -256,10 +255,9 @@ def run_ffd_consensus(
             any_proc.fast_deadline(L) + spec.D, fire_deadlines, "fallback"
         )
 
-    def settled() -> bool:
-        return all(p.decided or env.is_crashed(p.pid) for p in procs.values())
-
-    end = env.queue.run(until=spec.n * spec.d + 4 * spec.D, stop=settled)
+    end = env.queue.run(
+        until=spec.n * spec.d + 4 * spec.D, stop_set=env.unsettled
+    )
 
     any_view = procs[max(procs)].fired_slots()
     decisions = {pid: p.decision for pid, p in procs.items() if p.decided}

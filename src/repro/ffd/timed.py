@@ -119,6 +119,10 @@ class TimedEnvironment:
         self.rng = rng
         self.stats = MessageStats()
         self.crashed: dict[int, float] = {}
+        #: Pids neither decided nor crashed: crashes discard here, the
+        #: consensus layer discards on decide, and the run stops once it
+        #: is empty (one truthiness test per event).
+        self.unsettled: set[int] = set(range(1, spec.n + 1))
         self._crash_plan: dict[int, TimedCrash] = {}
         for c in crashes:
             if c.pid in self._crash_plan:
@@ -166,6 +170,7 @@ class TimedEnvironment:
             return
         now = self.queue.now
         self.crashed[pid] = now
+        self.unsettled.discard(pid)
         schedule = self.queue.schedule
         uniform = self.rng.uniform
         lo, hi = self._fd_latency_lo, self._fd_latency_hi

@@ -5,28 +5,20 @@ a :class:`MessageStats` sink.  Sends and deliveries are counted separately:
 a message *sent* by a process that crashed mid-step may never be
 *delivered*, and the paper's worst-case bound counts transmitted messages.
 
-Two interfaces feed the counters:
-
-* :meth:`MessageStats.on_send` / :meth:`MessageStats.on_deliver` take a
-  materialized :class:`~repro.net.message.Message`.  Only the traced
-  synchronous delivery uses them: it builds every message anyway, to
-  record it;
-* the bulk methods charge without any message objects.
-  :meth:`MessageStats.bulk_data` / :meth:`MessageStats.bulk_control`
-  count an untraced synchronous round's traffic the way the paper's
-  analysis does, in aggregate; :meth:`MessageStats.bulk_async` charges
-  the continuous-time simulators (the asynchronous network and the
-  fast-failure-detector environment) per send or broadcast fan-out.
-
-The traced and untraced synchronous paths produce identical totals
-(pinned by ``tests/net/test_accounting.py``).
+Every counter is charged in bulk, the way the paper's analysis counts:
+:meth:`MessageStats.bulk_data` / :meth:`MessageStats.bulk_control` take a
+synchronous round's data and COMMIT traffic in aggregate (traced or
+not), and :meth:`MessageStats.bulk_async` charges the continuous-time
+simulators (the asynchronous network and the fast-failure-detector
+environment) per send or broadcast fan-out.  No message object is
+needed to charge anything.  No engine charges the ``marker_*``
+counters (the snapshot module keeps no stats); they stay so that
+``asdict(stats)`` keeps its shape.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-from repro.net.message import Message, MessageKind
 
 __all__ = ["MessageStats"]
 
@@ -46,49 +38,14 @@ class MessageStats:
     bits_sent: int = 0
     bits_delivered: int = 0
 
-    def on_send(self, msg: Message) -> None:
-        """Record a transmission attempt that reached the wire."""
-        self._bump(msg, sent=True)
-
-    def on_deliver(self, msg: Message) -> None:
-        """Record a successful delivery."""
-        self._bump(msg, sent=False)
-
-    def _bump(self, msg: Message, sent: bool) -> None:
-        bits = msg.bits()
-        if sent:
-            self.bits_sent += bits
-        else:
-            self.bits_delivered += bits
-        if msg.kind is MessageKind.DATA:
-            if sent:
-                self.data_sent += 1
-            else:
-                self.data_delivered += 1
-        elif msg.kind is MessageKind.CONTROL:
-            if sent:
-                self.control_sent += 1
-            else:
-                self.control_delivered += 1
-        elif msg.kind is MessageKind.MARKER:
-            if sent:
-                self.marker_sent += 1
-            else:
-                self.marker_delivered += 1
-        else:
-            if sent:
-                self.async_sent += 1
-            else:
-                self.async_delivered += 1
-
-    # -- batch interface (allocation-free fast path) -----------------------
+    # -- bulk charging ------------------------------------------------------
 
     def bulk_data(self, count: int, bits: int, *, delivered: bool = False) -> None:
         """Charge ``count`` DATA messages totalling ``bits`` in one call.
 
         Charges the sent counters by default; pass ``delivered=True`` for
         the delivered side (a delivered batch must also have been charged
-        as sent, exactly like the per-message interface).
+        as sent).
         """
         if delivered:
             self.data_delivered += count
@@ -109,8 +66,7 @@ class MessageStats:
 
         Mirrors :meth:`bulk_data`: the asynchronous network sizes a
         payload once per send (or once per broadcast fan-out) and charges
-        here instead of routing every message through :meth:`on_send` /
-        :meth:`on_deliver`'s kind dispatch.
+        it here.
         """
         if delivered:
             self.async_delivered += count

@@ -96,7 +96,7 @@ class TransferSystem:
         raw = self.queue.now + self.rng.exponential(self.mean_delay)
         at = max(raw, self._last_delivery.get(key, 0.0) + 1e-9)
         self._last_delivery[key] = at
-        self.queue.schedule_at(at, lambda: self._on_message(msg), label=str(msg))
+        self.queue.schedule_at(at, self._on_message, msg)
 
     def transfer(self, src: int, dest: int, amount: int) -> None:
         """Move money (debited now, credited on delivery — the in-transit

@@ -23,25 +23,21 @@ receiver been up) and *delivered* if a live, undecided, non-crashing
 process actually consumed it.  Sends addressed to processes that already
 crashed/decided still count as sent — the sender cannot know.
 
-Two delivery paths implement identical semantics:
-
-* **traced** (``trace.enabled``): one frozen :class:`Message` per
-  (sender, dest) pair, recorded event by event — what tests and the
-  analysis layer inspect;
-* **fast** (tracing off — the sweep/benchmark default): no message
-  objects at all.  Payloads are written straight into the per-receiver
-  inbox dicts and accounting happens through the bulk
-  :class:`MessageStats` interface, charging a round's traffic in
-  aggregate exactly like the paper's counting arguments do.
-
-The two paths produce identical :class:`RoundOutcome`/:class:`MessageStats`
-(pinned by ``tests/sync/test_fastpath_parity.py``).
+Delivery has one path.  It builds no message objects: payloads are
+written straight into the per-receiver inbox dicts, and a round's
+traffic is charged through the bulk :class:`MessageStats` methods in
+aggregate, exactly like the paper's counting arguments do.  With
+``trace.enabled`` an event pass then walks the same plans and resolved
+crashes and records every ``deliver.*``/``drop.*`` event; tracing
+decides what is recorded, never how the round is delivered.  Traced and
+untraced runs therefore produce identical :class:`RoundOutcome` and
+:class:`MessageStats` (pinned by ``tests/sync/test_fastpath_parity.py``;
+the trace bytes by ``tests/sync/test_trace_digest.py``).
 
 A round is stepped one of two ways:
 
 * **per process** — the reference: ``send_phase``/``compute_phase`` on
-  every process every round, through one of the two delivery paths
-  above;
+  every process every round, through the delivery path above;
 * **vector** — when every process is of one type that registered a
   :class:`~repro.sync.api.VectorAlgorithm` table and tracing is off.
   Per-process state lives in columns (int64 arrays — numpy when
@@ -67,7 +63,6 @@ from typing import Any, Mapping
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.net.accounting import MessageStats
-from repro.net.message import Message, MessageKind
 from repro.net.payload import bit_size
 from repro.sync.api import (
     EMPTY_INBOX,
@@ -227,17 +222,17 @@ def execute_round(
     data_in: dict[int, dict[int, Any]] = {}
     control_in: dict[int, set[int]] = {}
 
-    if traced:
-        receivers = active if crashing is None else active - crashing
-        _deliver_traced(
-            senders, plans, resolved, receivers, round_no,
-            stats, trace, data_in, control_in,
-        )
-    elif senders:
-        _deliver_fast(
+    if senders:
+        _deliver(
             senders, plans, resolved, active, crashing,
             stats, data_in, control_in,
         )
+        if traced:
+            _record_delivery(
+                senders, plans, resolved,
+                active if crashing is None else active - crashing,
+                round_no, trace,
+            )
 
     # Phase 4: receive + compute for the survivors.
     inboxes: dict[int, RoundInbox] = {}
@@ -273,55 +268,40 @@ def execute_round(
     )
 
 
-def _deliver_traced(
+def _record_delivery(
     senders: list[int],
     plans: dict[int, SendPlan],
     resolved: dict[int, ResolvedCrash],
     receivers: set[int],
     round_no: int,
-    stats: MessageStats,
     trace: Trace,
-    data_in: dict[int, dict[int, Any]],
-    control_in: dict[int, set[int]],
 ) -> None:
-    """Per-message delivery: materializes every message, records every event."""
+    """Record a delivered round's message events; delivers and charges nothing.
+
+    Reads the same plans and resolved crashes :func:`_deliver` consumed:
+    senders in order, each sender's escaped data destinations sorted,
+    then its escaped control prefix in plan order.
+    """
+    record = trace.record
     for sender in senders:
         plan = plans[sender]
+        data = plan.data
         rc = resolved.get(sender)
         if rc is None:
-            data_dests = plan.data.keys()
+            data_dests = data.keys()
             control_dests = plan.control
         else:
             data_dests = rc.data_subset
             control_dests = plan.control[: rc.control_prefix]
-
         for dest in sorted(data_dests):
-            msg = Message(
-                MessageKind.DATA, sender, dest, round_no, payload=plan.data[dest]
-            )
-            stats.on_send(msg)
-            if dest in receivers:
-                stats.on_deliver(msg)
-                data_in.setdefault(dest, {})[sender] = plan.data[dest]
-                trace.record(
-                    round_no, "deliver.data", sender, dest=dest, payload=plan.data[dest]
-                )
-            else:
-                trace.record(
-                    round_no, "drop.data", sender, dest=dest, payload=plan.data[dest]
-                )
+            kind = "deliver.data" if dest in receivers else "drop.data"
+            record(round_no, kind, sender, dest=dest, payload=data[dest])
         for dest in control_dests:
-            msg = Message(MessageKind.CONTROL, sender, dest, round_no)
-            stats.on_send(msg)
-            if dest in receivers:
-                stats.on_deliver(msg)
-                control_in.setdefault(dest, set()).add(sender)
-                trace.record(round_no, "deliver.control", sender, dest=dest)
-            else:
-                trace.record(round_no, "drop.control", sender, dest=dest)
+            kind = "deliver.control" if dest in receivers else "drop.control"
+            record(round_no, kind, sender, dest=dest)
 
 
-def _deliver_fast(
+def _deliver(
     senders: list[int],
     plans: dict[int, SendPlan],
     resolved: dict[int, ResolvedCrash],
@@ -331,11 +311,11 @@ def _deliver_fast(
     data_in: dict[int, dict[int, Any]],
     control_in: dict[int, set[int]],
 ) -> None:
-    """Allocation-free delivery: no ``Message`` objects, bulk accounting.
+    """Deliver one round into the inboxes and charge its traffic in bulk.
 
-    Totals are identical to :func:`_deliver_traced` — data bits are still
-    sized per payload (memoized in :mod:`repro.net.payload`), only charged
-    in one batch per (sender, step) instead of per message.
+    Data bits are sized per payload (memoized in
+    :mod:`repro.net.payload`) and charged in one batch per (sender, step),
+    the way the paper's counting arguments charge a round.
 
     The receiver set is materialized lazily: a round whose only speaker
     crashed with nothing escaping (the cascade shape) never needs it.
@@ -365,7 +345,7 @@ def _deliver_fast(
             delivered_bits = 0
             # Broadcast plans map every destination to the *same* payload
             # object; one identity test then replaces the memo lookup.
-            prev_payload: Any = _deliver_fast  # impossible payload sentinel
+            prev_payload: Any = _deliver  # impossible payload sentinel
             bits = 0
             get_inbox = data_in.get
             for dest, payload in data.items():
@@ -443,7 +423,7 @@ def _account_vector(
     """Charge a vector round's traffic in aggregate.
 
     Totals are identical to routing the same round through
-    :func:`_deliver_fast` — per-payload bit widths (each send carries
+    :func:`_deliver` — per-payload bit widths (each send carries
     the ``bits`` its table sized once), sent counts over the
     post-truncation destinations, delivered counts over the surviving
     receivers — just summed across senders before the (single) bulk

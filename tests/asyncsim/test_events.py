@@ -69,19 +69,33 @@ class TestEventQueue:
     def test_stop_predicate(self):
         q = EventQueue()
         log = []
+        waiting = {0, 1}
         for k in range(5):
-            q.schedule(float(k + 1), lambda k=k: log.append(k))
-        q.run(stop=lambda: len(log) >= 2)
-        assert len(log) == 2
+            q.schedule(
+                float(k + 1), lambda k=k: (log.append(k), waiting.discard(k))
+            )
+        q.run(stop_set=waiting)
+        assert log == [0, 1]
 
-    def test_cancelled_events_skipped(self):
+    def test_nan_horizon_rejected(self):
+        # NaN compares false against every time: unchecked, it would mean
+        # "no horizon" and drain the queue to quiescence.
         q = EventQueue()
         log = []
-        token = q.schedule(1.0, lambda: log.append("x"))
-        q.cancel(token)
-        q.run()
-        assert log == []
-        assert q.executed == 0
+        q.schedule(1.0, lambda: log.append("x"))
+        with pytest.raises(ConfigurationError, match="nan"):
+            q.run(until=float("nan"))
+        assert log == [] and len(q) == 1 and q.now == 0.0
+
+    def test_no_cancellation_labels_or_callable_stop(self):
+        q = EventQueue()
+        assert q.schedule(1.0, lambda: None) is None
+        assert q.schedule_at(2.0, lambda: None) is None
+        assert not hasattr(q, "cancel")
+        with pytest.raises(TypeError):
+            q.schedule(1.0, lambda: None, label="x")
+        with pytest.raises(TypeError):
+            q.run(stop=lambda: True)
 
     def test_event_budget(self):
         q = EventQueue()
@@ -100,116 +114,6 @@ class TestEventQueue:
         q.schedule(2.0, lambda: log.append("closure"))
         q.run()
         assert log == ["arg", "closure"]
-
-
-class TestCancellation:
-    def test_cancel_is_idempotent_and_accounting_exact(self):
-        q = EventQueue()
-        log = []
-        keep = q.schedule(1.0, lambda: log.append("keep"))
-        drop = q.schedule(2.0, lambda: log.append("drop"))
-        q.cancel(drop)
-        q.cancel(drop)  # idempotent: dead count must not double
-        assert len(q) == 1
-        q.run()
-        assert log == ["keep"]
-        assert q.executed == 1  # tombstones never count as executed
-        assert len(q) == 0
-
-    def test_cancel_unknown_token_is_noop(self):
-        q = EventQueue()
-        q.schedule(1.0, lambda: None)
-        q.cancel(999)
-        q.cancel(-1)
-        assert len(q) == 1
-        assert q.run() == 1.0
-        assert q.executed == 1
-
-    def test_cancel_after_execution_is_noop(self):
-        """A stale token (event already ran) must not skew the accounting."""
-        q = EventQueue()
-        first = q.schedule(1.0, lambda: None)
-        for i in range(3):
-            q.schedule(float(i + 2), lambda: None)
-        q.run(until=1.5)  # executes only `first`
-        q.cancel(first)  # stale: the entry left the heap when it ran
-        assert len(q) == 3  # the three live events are all still counted
-        end = q.run()
-        assert end == 4.0
-        assert q.executed == 4
-        assert len(q) == 0  # would previously underflow to -1 and raise
-
-    def test_majority_dead_heap_compacts(self):
-        """Cancelled events no longer sit in the heap until drain."""
-        q = EventQueue()
-        live = [q.schedule(float(100 + i), lambda: None) for i in range(10)]
-        dead = [q.schedule(float(i + 1), lambda: None) for i in range(11)]
-        for token in dead:
-            q.cancel(token)
-        # More than half the entries were tombstoned -> the heap itself
-        # shrank to the live entries; nothing waits for drain to be freed.
-        assert len(q._heap) == len(live)
-        assert len(q) == len(live)
-        q.run()
-        assert q.executed == len(live)
-
-    def test_below_threshold_tombstones_drop_unrun(self):
-        q = EventQueue()
-        log = []
-        for i in range(10):
-            q.schedule(float(i + 1), lambda i=i: log.append(i))
-        victim = q.schedule(0.5, lambda: log.append("victim"))
-        q.cancel(victim)  # 1 of 11 dead: stays as a tombstone
-        assert len(q._heap) == 11
-        assert len(q) == 10
-        q.run()
-        assert "victim" not in log
-        assert q.executed == 10
-
-    def test_determinism_under_cancellation(self):
-        """Cancelling events must not perturb the order of the survivors."""
-
-        def run(cancel: bool) -> list[str]:
-            q = EventQueue()
-            log: list[str] = []
-            tokens = {}
-            # Interleave same-time events so seq tie-breaks matter.
-            for name in "abcdef":
-                tokens[name] = q.schedule(1.0, lambda n=name: log.append(n))
-            for name in "uvwxyz":
-                tokens[name] = q.schedule(2.0, lambda n=name: log.append(n))
-            if cancel:
-                for name in ("b", "e", "u", "y"):
-                    q.cancel(tokens[name])
-            q.run()
-            return log
-
-        full = run(cancel=False)
-        pruned = run(cancel=True)
-        assert full == list("abcdef") + list("uvwxyz")
-        # Survivors keep exactly their original relative order.
-        assert pruned == [n for n in full if n not in ("b", "e", "u", "y")]
-
-    def test_cancellation_respects_until_horizon(self):
-        q = EventQueue()
-        log = []
-        q.schedule(1.0, lambda: log.append("early"))
-        late = q.schedule(10.0, lambda: log.append("late"))
-        q.cancel(late)
-        end = q.run(until=5.0)
-        # The cancelled late event is consumed (not pushed back at the
-        # horizon), so the queue drains and time rests at the last action.
-        assert log == ["early"] and end == 1.0
-        assert len(q) == 0
-
-    def test_cancel_mid_run_from_action(self):
-        q = EventQueue()
-        log = []
-        second = q.schedule(2.0, lambda: log.append("second"))
-        q.schedule(1.0, lambda: (log.append("first"), q.cancel(second)))
-        q.run()
-        assert log == ["first"]
-        assert q.executed == 1
 
 
 class TestClockMonotonicity:
@@ -330,16 +234,18 @@ class TestStopSet:
 class TestReset:
     def test_reset_restores_fresh_state(self):
         q = EventQueue()
-        token = q.schedule(5.0, lambda: None)
+        q.schedule(5.0, lambda: None)
         q.schedule(1.0, lambda: None)
-        q.cancel(token)
-        q.run()
-        assert q.now == 1.0 and q.executed == 1
+        q.run(until=2.0)
+        assert q.now == 2.0 and q.executed == 1 and len(q) == 1
         q.reset()
         assert q.now == 0.0 and q.executed == 0 and len(q) == 0
-        # Seq restarts: tokens are allocated exactly like a fresh queue's.
+        # Seq restarts: entries are numbered exactly like a fresh queue's.
         fresh = EventQueue()
-        assert q.schedule(1.0, lambda: None) == fresh.schedule(1.0, lambda: None)
+        action = lambda: None  # noqa: E731
+        q.schedule(1.0, action)
+        fresh.schedule(1.0, action)
+        assert q._heap == fresh._heap
 
     def test_fanout_matches_individual_schedules(self):
         empty = EventQueue()
@@ -445,16 +351,15 @@ class TestFanoutBlocks:
         q.run()
         assert log == list("abc") and q.now == 5.0
 
-    def test_seq_tokens_stay_aligned_after_blocks(self):
-        # Cancellable entries scheduled after a fanout must get the same
-        # tokens as in the per-entry world (one seq per block item).
+    def test_seqs_stay_aligned_after_blocks(self):
+        # Entries scheduled after a fanout get the same seq as in the
+        # per-entry world (one seq per block item).
         q = EventQueue()
         q.schedule_fanout(lambda _: None, [1.0] * 3, [1, 2, 3], grouped=True)
-        token = q.schedule(2.0, lambda: None)
-        assert token == 3
-        q.cancel(token)
+        q.schedule(2.0, lambda: None)
+        assert sorted(entry[1] for entry in q._heap) == [0, 3]
         q.run()
-        assert q.executed == 3
+        assert q.executed == 4
 
     def test_reset_clears_block_accounting(self):
         q = EventQueue()

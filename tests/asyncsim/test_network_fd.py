@@ -196,3 +196,19 @@ class TestSimulatedDiamondS:
         fd = SimulatedDiamondS(3, q, DetectorSpec(), RandomSource(1))
         fd.notify_crash(1)
         assert fd.ground_truth_crashed == frozenset({1})
+
+
+class TestDetectorSpec:
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "stabilization_time",
+            "detection_latency",
+            "churn_rate",
+            "false_suspicion_duration",
+        ],
+    )
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_rejected(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            DetectorSpec(**{field: value})

@@ -178,3 +178,22 @@ class TestFiredSlotsFastPath:
         view.reports[1] = 0.0
         view.version += 1
         assert proc.fired_slots() == [2] == self._reference(proc)
+
+
+class TestSettleTracking:
+    """The run stops on the environment's unsettled set draining."""
+
+    def test_run_stops_at_the_last_decision(self):
+        crashes = [TimedCrash(1, 0.0)]
+        result = run_ffd_consensus(SPEC, props(), crashes, rng=RandomSource(2))
+        assert len(result.decisions) == SPEC.n - 1
+        assert result.sim_time == result.max_decision_time
+
+    def test_crash_and_decide_settle_their_pid(self):
+        env = TimedEnvironment(SPEC, [TimedCrash(2, 1.0)], RandomSource(0))
+        env.wire(on_deliver=lambda msg: None, on_fd=lambda observer: None)
+        assert env.unsettled == {1, 2, 3, 4, 5}
+        env.queue.run(until=1.0)
+        assert env.unsettled == {1, 3, 4, 5}
+        FastFDConsensus(4, SPEC.n, 104, env)._decide(104)
+        assert env.unsettled == {1, 3, 5}

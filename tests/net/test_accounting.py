@@ -1,66 +1,60 @@
-"""Tests for MessageStats accounting."""
+"""Tests for MessageStats accounting (bulk charging only)."""
 
 from __future__ import annotations
+
+import dataclasses
 
 from repro.net.accounting import MessageStats
 from repro.net.message import Message, MessageKind
 from repro.net.payload import SizedValue
 
 
-def _data(bits=8):
-    return Message(MessageKind.DATA, 1, 2, 1, payload=SizedValue(0, bits))
-
-
-def _control():
-    return Message(MessageKind.CONTROL, 1, 2, 1)
-
-
 class TestMessageStats:
     def test_send_vs_deliver_separated(self):
         s = MessageStats()
-        s.on_send(_data())
+        s.bulk_data(1, 8)
         assert (s.data_sent, s.data_delivered) == (1, 0)
-        s.on_deliver(_data())
+        s.bulk_data(1, 8, delivered=True)
         assert (s.data_sent, s.data_delivered) == (1, 1)
 
     def test_bits_accumulate(self):
         s = MessageStats()
-        s.on_send(_data(10))
-        s.on_send(_control())
+        s.bulk_data(1, 10)
+        s.bulk_control(sent=1, delivered=0)
         assert s.bits_sent == 11
         assert s.bits_delivered == 0
 
     def test_kind_routing(self):
         s = MessageStats()
-        s.on_send(Message(MessageKind.ASYNC, 1, 2, 1, payload=SizedValue(0, 8), tag="x"))
-        s.on_send(Message(MessageKind.MARKER, 1, 2))
-        s.on_send(_control())
-        s.on_send(_data())
+        s.bulk_async(1, 48)
+        s.bulk_control(sent=1, delivered=0)
+        s.bulk_data(1, 8)
         assert s.async_sent == 1
-        assert s.marker_sent == 1
         assert s.control_sent == 1
         assert s.data_sent == 1
-        assert s.messages_sent == 4
+        assert s.marker_sent == 0
+        assert s.messages_sent == 3
 
     def test_str_smoke(self):
         s = MessageStats()
-        s.on_send(_data())
+        s.bulk_data(1, 8)
         assert "data 1/0" in str(s)
 
 
 class TestBulkInterface:
-    """The batch counters must be totals-equivalent to the per-message API."""
+    """Bulk charges must total what the messages themselves weigh."""
 
-    def test_bulk_data_matches_per_message(self):
-        per_msg, bulk = MessageStats(), MessageStats()
+    def test_bulk_data_matches_message_bits(self):
         payloads = [SizedValue(0, 8), SizedValue(1, 8), SizedValue(2, 24)]
-        for i, payload in enumerate(payloads):
-            msg = Message(MessageKind.DATA, 1, 2 + i, 1, payload=payload)
-            per_msg.on_send(msg)
-            per_msg.on_deliver(msg)
-        bulk.bulk_data(3, 8 + 8 + 24)
-        bulk.bulk_data(3, 8 + 8 + 24, delivered=True)
-        assert bulk == per_msg
+        bits = sum(
+            Message(MessageKind.DATA, 1, 2 + i, 1, payload=p).bits()
+            for i, p in enumerate(payloads)
+        )
+        s = MessageStats()
+        s.bulk_data(3, bits)
+        s.bulk_data(3, bits, delivered=True)
+        assert (s.data_sent, s.data_delivered) == (3, 3)
+        assert (s.bits_sent, s.bits_delivered) == (40, 40)
 
     def test_bulk_data_sent_only(self):
         s = MessageStats()
@@ -68,12 +62,17 @@ class TestBulkInterface:
         assert (s.data_sent, s.data_delivered) == (5, 0)
         assert (s.bits_sent, s.bits_delivered) == (40, 0)
 
-    def test_bulk_control_matches_per_message(self):
-        per_msg, bulk = MessageStats(), MessageStats()
-        for dest in (2, 3, 4):
-            msg = Message(MessageKind.CONTROL, 1, dest, 1)
-            per_msg.on_send(msg)
-            if dest != 4:  # one control message dropped
-                per_msg.on_deliver(msg)
-        bulk.bulk_control(sent=3, delivered=2)
-        assert bulk == per_msg
+    def test_bulk_control_is_one_bit_each(self):
+        s = MessageStats()
+        s.bulk_control(sent=3, delivered=2)  # one control message dropped
+        assert (s.control_sent, s.control_delivered) == (3, 2)
+        assert (s.bits_sent, s.bits_delivered) == (
+            3 * Message(MessageKind.CONTROL, 1, 2, 1).bits(),
+            2,
+        )
+
+    def test_per_message_interface_is_gone(self):
+        fields = {f.name for f in dataclasses.fields(MessageStats)}
+        assert {"marker_sent", "marker_delivered"} <= fields
+        for name in ("on_send", "on_deliver", "_bump"):
+            assert not hasattr(MessageStats, name)

@@ -1,13 +1,14 @@
-"""Fast-path parity: trace-off runs must be byte-identical to traced runs.
+"""Trace parity: trace-off runs must be byte-identical to traced runs.
 
-The synchronous engines take two delivery paths (``repro.sync.engine``):
-the traced path materializes one :class:`~repro.net.message.Message` per
-(sender, dest) pair and records every event, while the fast path (tracing
-off — the sweep and benchmark default) never builds message objects and
-charges :class:`~repro.net.accounting.MessageStats` in bulk.  This grid
-pins that the two paths agree on **everything observable**: the full
-:class:`~repro.scenarios.RunRecord` and every individual stats counter,
-across all synchronous algorithms × adversaries × seeds.
+The synchronous engines have one delivery path (``repro.sync.engine``):
+it never builds message objects and charges
+:class:`~repro.net.accounting.MessageStats` in bulk.  Tracing only adds
+an event pass over the delivered round, recording every
+``deliver.*``/``drop.*`` event.  This grid pins that tracing changes
+nothing else observable: the full :class:`~repro.scenarios.RunRecord`
+and every individual stats counter agree across all synchronous
+algorithms × adversaries × seeds.  The trace bytes themselves are
+pinned by ``test_trace_digest.py``.
 """
 
 from __future__ import annotations
@@ -16,8 +17,7 @@ import pytest
 
 from repro.scenarios import ADVERSARIES, ALGORITHMS, Scenario, execute
 
-#: Every registered synchronous algorithm (the fast path only exists in
-#: the extended/classic engines).
+#: Every registered synchronous algorithm (the extended/classic engines).
 SYNC_ALGORITHMS = sorted(
     name
     for name in ALGORITHMS.names()
