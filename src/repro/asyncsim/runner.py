@@ -25,6 +25,7 @@ identical to a freshly constructed one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, ClassVar, Iterable, Sequence
 
@@ -53,8 +54,10 @@ class AsyncCrash:
     time: float
 
     def __post_init__(self) -> None:
-        if self.time < 0:
-            raise ConfigurationError("crash time must be >= 0")
+        if not (math.isfinite(self.time) and self.time >= 0):
+            raise ConfigurationError(
+                f"crash time must be finite and >= 0, got {self.time!r}"
+            )
 
 
 @dataclass(slots=True)

@@ -56,7 +56,7 @@ from repro.sync.api import (
 from repro.util.columns import at, put, value_column
 from repro.util.tables import refill_value_column
 
-__all__ = ["CRWConsensus", "CRWVectorTable", "est_column"]
+__all__ = ["CRWConsensus", "CRWVectorTable"]
 
 
 class CRWConsensus(SyncProcess):
@@ -109,18 +109,6 @@ class CRWConsensus(SyncProcess):
             self.decide(self.est)
 
 
-def est_column(processes: Sequence[SyncProcess]) -> Any:
-    """The processes' ``est`` values as a pid-indexed value column.
-
-    Slot 0 is unused.  Plain int64 estimates get an int64 column, any
-    other value type an object column (:func:`repro.util.columns.value_column`).
-    """
-    est: list[Any] = [None] * processes[0].n
-    for p in processes:
-        est[p.pid - 1] = p.est
-    return value_column(est, offset=1)
-
-
 @register_vector_table(CRWConsensus)
 class CRWVectorTable(VectorAlgorithm):
     """Columnar Figure-1 table: ``est`` as one value column.
@@ -131,7 +119,8 @@ class CRWVectorTable(VectorAlgorithm):
     coordinator's value (one column write + one ``dict.fromkeys``).
     Crash rounds fall back to set arithmetic over the truncated
     destination subsets, still without per-pid plan or inbox objects.
-    Subclassed by the ablation variants' vector tables.
+    Registered for :class:`CRWConsensus` only; its ablation subclasses in
+    :mod:`repro.core.variants` step per process.
     """
 
     __slots__ = ("n", "est")
@@ -142,12 +131,16 @@ class CRWVectorTable(VectorAlgorithm):
 
     @classmethod
     def from_processes(cls, processes: Sequence[SyncProcess]) -> "CRWVectorTable":
-        return cls(processes[0].n, est_column(processes))
+        # Slot 0 unused; plain int64 estimates get an int64 column, any
+        # other value type an object column.
+        est: list[Any] = [None] * processes[0].n
+        for p in processes:
+            est[p.pid - 1] = p.est
+        return cls(processes[0].n, value_column(est, offset=1))
 
     def refill(self, proposals: Sequence[Any]) -> bool:
         # A fresh Figure-1 process is just est = proposal; the est column
-        # is the table's only run-varying state (the ablation tables
-        # reuse this — their extra behaviour lives in the hooks).
+        # is the table's only run-varying state.
         self.est = refill_value_column(self.est, proposals, offset=1)
         return True
 

@@ -18,29 +18,25 @@ These exist to make the *limit* half of the paper executable:
   exist where the last decision lands **after** round ``f + 1``.  This is
   the ablation showing the sending *order* carries real power, not just the
   extra message.
+* :class:`FullBroadcastCRW` — sends DATA and COMMIT to every other
+  process, not only to higher ids: the messages the paper's id ordering
+  saves.
 * :class:`SilentProcess` — proposes and never sends or decides; used to
   validate that the spec checker reports termination violations.
+
+All of them step per process.  None has a vector table: the registry in
+:mod:`repro.sync.api` is keyed by exact type, so a subclass of
+:class:`~repro.core.crw.CRWConsensus` does not inherit its table, and
+``batched=True`` rejects these classes.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
-from typing import Any, Sequence
+from typing import Any
 
-from repro.core.crw import CRWConsensus, CRWVectorTable, est_column
+from repro.core.crw import CRWConsensus
 from repro.errors import ConfigurationError
-from repro.net.payload import bit_size
-from repro.sync.api import (
-    NO_SEND,
-    RoundInbox,
-    SendPlan,
-    SyncProcess,
-    VectorAlgorithm,
-    VectorSend,
-    register_vector_table,
-)
-from repro.util.columns import at, put
-from repro.util.tables import refill_value_column
+from repro.sync.api import NO_SEND, RoundInbox, SendPlan, SyncProcess
 
 __all__ = ["EagerCRW", "TruncatedCRW", "IncreasingCommitCRW", "FullBroadcastCRW", "SilentProcess"]
 
@@ -173,165 +169,3 @@ class SilentProcess(SyncProcess):
     def compute_phase(self, round_no: int, inbox: RoundInbox) -> None:
         return None
 
-
-# ---------------------------------------------------------------------------
-# Vector tables.  The CRW-shaped variants subclass
-# :class:`~repro.core.crw.CRWVectorTable` and override only their delta; the
-# vector parity grid pins all of them against the per-process classes.
-# SilentProcess, a spec-checker fixture, steps per process.
-# ---------------------------------------------------------------------------
-
-
-@register_vector_table(EagerCRW)
-class _EagerCRWVectorTable(CRWVectorTable):
-    """CRW vector table minus the line-8 COMMIT guard."""
-
-    __slots__ = ()
-
-    def compute_phase_vector(
-        self,
-        round_no: int,
-        receivers: set[int],
-        receiver_order: list[int],
-        sends: list[VectorSend],
-        crash_free: bool,
-    ) -> dict[int, Any]:
-        if crash_free:
-            # Crash-free rounds are indistinguishable from the real
-            # algorithm: every DATA receiver also holds the COMMIT.
-            return super().compute_phase_vector(
-                round_no, receivers, receiver_order, sends, crash_free
-            )
-        est = self.est
-        decisions: dict[int, Any] = {}
-        if round_no in receivers:
-            decisions[round_no] = at(est, round_no)
-        if not sends:
-            return decisions
-        _sender, dests, value, _control, _bits = sends[0]
-        got_data = receivers.intersection(dests)
-        if got_data:
-            deciders = sorted(got_data)
-            put(est, deciders, value)
-            decisions.update(dict.fromkeys(deciders, value))  # eager: DATA alone
-        return decisions
-
-
-@register_vector_table(IncreasingCommitCRW)
-class _IncreasingCommitCRWVectorTable(CRWVectorTable):
-    """CRW vector table with the COMMIT sequence ascending instead."""
-
-    __slots__ = ()
-
-    def send_phase_vector(self, round_no: int, active: Sequence[int]) -> list[VectorSend]:
-        sends = super().send_phase_vector(round_no, active)
-        if sends:
-            sender, data, value, _control, bits = sends[0]
-            sends[0] = (sender, data, value, range(round_no + 1, self.n + 1), bits)
-        return sends
-
-
-@register_vector_table(FullBroadcastCRW)
-class _FullBroadcastCRWVectorTable(CRWVectorTable):
-    """CRW vector table with DATA and COMMIT addressed to every other pid.
-
-    Only the send differs: active pids below the coordinator cannot exist
-    (the inherited 'cannot happen' guard), so the extra low-id messages
-    change the accounting, never the computation — compute is inherited
-    (its destination intersections are shape-agnostic).
-    """
-
-    __slots__ = ()
-
-    def send_phase_vector(self, round_no: int, active: Sequence[int]) -> list[VectorSend]:
-        sends = super().send_phase_vector(round_no, active)
-        # p_n's round: the base table goes silent (nobody above), the
-        # broadcast variant still addresses 1..n-1.
-        if sends or (active and active[0] == round_no == self.n):
-            value = at(self.est, round_no)
-            others = tuple(j for j in range(1, self.n + 1) if j != round_no)
-            sends = [(round_no, others, value, others[::-1], bit_size(value))]
-        return sends
-
-
-@register_vector_table(TruncatedCRW)
-class _TruncatedCRWVectorTable(VectorAlgorithm):
-    """Columnar TruncatedCRW: a value column ``est`` plus a uniform deadline.
-
-    Only uniform-``k`` tables engage (one scalar deadline instead of a
-    per-pid column keeps the whole-column round closed-form); mixed-``k``
-    process sets step per process.
-    """
-
-    __slots__ = ("n", "est", "k")
-
-    def __init__(self, n: int, est: Any, k: int) -> None:
-        self.n = n
-        self.est = est  # pid-indexed value column (slot 0 unused)
-        self.k = k
-
-    @classmethod
-    def from_processes(
-        cls, processes: Sequence[SyncProcess]
-    ) -> "_TruncatedCRWVectorTable | None":
-        k = processes[0].k
-        if any(p.k != k for p in processes):
-            return None
-        return cls(processes[0].n, est_column(processes), k)
-
-    def refill(self, proposals: Sequence[Any]) -> bool:
-        # The deadline ``k`` is configuration (params + t), fixed across
-        # a lease; only the estimates vary run to run.
-        self.est = refill_value_column(self.est, proposals, offset=1)
-        return True
-
-    def send_phase_vector(self, round_no: int, active: Sequence[int]) -> list[VectorSend]:
-        # No 'cannot happen' guard: truncation lets processes outlive their
-        # own coordinator round (they just stay silent there).
-        pos = bisect_left(active, round_no)
-        if pos == len(active) or active[pos] != round_no:
-            return []
-        data = range(round_no + 1, self.n + 1)
-        if not data:
-            return []
-        value = at(self.est, round_no)
-        return [(round_no, data, value, range(self.n, round_no, -1), bit_size(value))]
-
-    def compute_phase_vector(
-        self,
-        round_no: int,
-        receivers: set[int],
-        receiver_order: list[int],
-        sends: list[VectorSend],
-        crash_free: bool,
-    ) -> dict[int, Any]:
-        est = self.est
-        deadline = round_no >= self.k
-        decisions: dict[int, Any] = {}
-        if crash_free and sends:
-            _sender, _dests, value, _control, _bits = sends[0]
-            pos = bisect_right(receiver_order, round_no)
-            followers = receiver_order[pos:]
-            put(est, followers, value)
-            for pid in receiver_order[:pos]:  # at/below the coordinator
-                if pid == round_no or deadline:
-                    decisions[pid] = at(est, pid)
-            decisions.update(dict.fromkeys(followers, value))  # COMMIT held
-            return decisions
-        if not sends:
-            # Dead coordinator (or p_n's empty round): only the coordinator
-            # slot and the deadline can decide, on unchanged estimates.
-            for pid in receiver_order:
-                if pid == round_no or deadline:
-                    decisions[pid] = at(est, pid)
-            return decisions
-        # Crash round with a (possibly truncated) coordinator send.
-        _sender, dests, value, control, _bits = sends[0]
-        got_data = receivers.intersection(dests)
-        got_control = receivers.intersection(control)
-        if got_data:
-            put(est, sorted(got_data), value)
-        for pid in receiver_order:
-            if pid == round_no or pid in got_control or deadline:
-                decisions[pid] = at(est, pid)  # post-adoption estimate
-        return decisions

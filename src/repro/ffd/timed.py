@@ -27,10 +27,12 @@ at time ``D``.  This matches the regime the DISC'02 paper targets
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.asyncsim.events import EventQueue
+from repro.asyncsim.network import _require_finite
 from repro.errors import ConfigurationError
 from repro.net.accounting import MessageStats
 from repro.net.message import Message, MessageKind
@@ -49,6 +51,7 @@ class TimedSpec:
     delta_min: float = 0.3  # messages take at least delta_min * D
 
     def __post_init__(self) -> None:
+        _require_finite(self)  # NaN and D=inf pass every check below
         if self.n < 2:
             raise ConfigurationError("need n >= 2")
         if self.D <= 0 or self.d <= 0:
@@ -74,8 +77,10 @@ class TimedCrash:
     takeover_subset: frozenset[int] | None = None
 
     def __post_init__(self) -> None:
-        if self.time < 0:
-            raise ConfigurationError("crash time must be >= 0")
+        if not (math.isfinite(self.time) and self.time >= 0):
+            raise ConfigurationError(
+                f"crash time must be finite and >= 0, got {self.time!r}"
+            )
 
 
 class FastDetectorView:
@@ -99,10 +104,6 @@ class FastDetectorView:
         """Did ``pid`` crash at or before ``time`` (per current reports)?"""
         t = self.reports.get(pid)
         return t is not None and t <= time
-
-    def known_crashed(self) -> dict[int, float]:
-        """All reported crashes (pid -> crash time)."""
-        return dict(self.reports)
 
 
 class TimedEnvironment:

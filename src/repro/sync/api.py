@@ -261,7 +261,7 @@ class VectorAlgorithm(abc.ABC):
     Contract (byte-parity with per-process stepping depends on all of it):
 
     * :meth:`from_processes` may return None when the processes'
-      configuration is mixed (a non-uniform horizon or deadline) or when
+      configuration is mixed (a non-uniform round horizon) or when
       the values would make the reference's choice depend on set order
       (equal ``value_key`` but distinguishable values such as ``1``,
       ``True`` and ``1.0``); the engine then steps per process.
@@ -339,8 +339,9 @@ class VectorAlgorithm(abc.ABC):
         False when ``from_processes`` would have declined the new
         proposals (ambiguous value order) — the caller then falls back to
         the factory + reset path, which re-detects the stepping mode.
-        Configuration-shaped state (``n``, TruncatedCRW's ``k``,
-        destination tuples) is fixed across a lease and must not change.
+        Configuration-shaped state (``n``, the FloodSet and
+        early-stopping horizon ``t + 1``, destination tuples) is fixed
+        across a lease and must not change.
         The default declines every refill.
         """
         return False

@@ -45,6 +45,11 @@ class TestRunnerValidation:
         with pytest.raises(ConfigurationError):
             AsyncCrash(1, -1.0)
 
+    @pytest.mark.parametrize("time", [float("nan"), float("inf")])
+    def test_non_finite_crash_time_rejected(self, time):
+        with pytest.raises(ConfigurationError, match="finite"):
+            AsyncCrash(1, time)
+
     def test_double_attach_rejected(self):
         procs = mr99(3, 1)
         runner = AsyncRunner(procs, t=1)

@@ -34,6 +34,13 @@ class TestTimedSpec:
         with pytest.raises(ConfigurationError):
             TimedSpec(n=3, D=10.0, d=0.1, delta_min=1.5)
 
+    @pytest.mark.parametrize("field", ["D", "d", "delta_min"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_parameters_rejected(self, field, value):
+        # D=inf satisfies n*d < D, yet every message delay would be infinite.
+        with pytest.raises(ConfigurationError, match=f"TimedSpec.{field} must be finite"):
+            TimedSpec(n=4, **{field: value})
+
 
 class TestFailureFree:
     def test_decides_p1_value_at_time_about_D(self):

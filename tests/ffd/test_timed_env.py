@@ -36,6 +36,11 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             TimedCrash(1, -0.5)
 
+    @pytest.mark.parametrize("time", [float("nan"), float("inf")])
+    def test_non_finite_crash_time_rejected(self, time):
+        with pytest.raises(ConfigurationError, match="finite"):
+            TimedCrash(1, time)
+
 
 class TestTransport:
     def test_unicast_delay_within_bounds(self):
